@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "actor/fault.h"
+#include "actor/link.h"
 #include "actor/membership.h"
 #include "actor/method_registry.h"
 #include "actor/thread_pool.h"
@@ -56,6 +57,17 @@ Cluster::Cluster(const RuntimeOptions& options,
   activation_fault_wait_ =
       metrics_.GetHistogram("activation.fault.queue_wait_us");
   directory_.BindMetrics(&metrics_);
+  if (client_executor_->MeasuresTaskCost()) {
+    const int nodes = options.num_silos + 1;
+    links_.resize(static_cast<size_t>(nodes) * nodes);
+    for (int from = 0; from < nodes; ++from) {
+      for (int to = 0; to < nodes; ++to) {
+        if (from == to) continue;
+        links_[from * nodes + to] =
+            std::make_unique<Link>(ExecutorFor(static_cast<SiloId>(to - 1)));
+      }
+    }
+  }
   silos_.reserve(options.num_silos);
   for (int i = 0; i < options.num_silos; ++i) {
     silos_.push_back(
@@ -242,16 +254,17 @@ void Cluster::Send(Envelope env) {
         injector != nullptr ? injector->NextDuplicateLag() : 0;
     Micros dup_arrival = network_.FifoArrival(from, target, copy.approx_bytes,
                                               exec->clock()->Now());
-    exec->PostAt(dup_arrival + dup_reorder_us,
-                 [silo, copy = std::move(copy)]() mutable {
-                   silo->Deliver(std::move(copy));
-                 });
+    Transmit(from, target, dup_arrival + dup_reorder_us,
+             [silo, copy = std::move(copy)]() mutable {
+               silo->Deliver(std::move(copy));
+             });
   }
   Micros arrival = network_.FifoArrival(from, target, env.approx_bytes,
                                         exec->clock()->Now());
-  exec->PostAt(arrival + reorder_us, [silo, env = std::move(env)]() mutable {
-    silo->Deliver(std::move(env));
-  });
+  Transmit(from, target, arrival + reorder_us,
+           [silo, env = std::move(env)]() mutable {
+             silo->Deliver(std::move(env));
+           });
 }
 
 void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
@@ -321,11 +334,11 @@ void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
         injector != nullptr ? injector->NextDuplicateLag() : 0;
     Micros dup_arrival =
         network_.FifoArrival(from, target, bytes, exec->clock()->Now());
-    exec->PostAt(dup_arrival + dup_reorder_us, deliver);
+    Transmit(from, target, dup_arrival + dup_reorder_us, deliver);
   }
   Micros arrival =
       network_.FifoArrival(from, target, bytes, exec->clock()->Now());
-  exec->PostAt(arrival + reorder_us, deliver);
+  Transmit(from, target, arrival + reorder_us, deliver);
 }
 
 void Cluster::DeliverWireFrame(SiloId target, SiloId caller_silo,
@@ -422,9 +435,19 @@ void Cluster::SendReply(SiloId from, SiloId to, int64_t bytes,
     // connection shape symmetric faults cannot produce.
     return;
   }
-  Executor* exec = ExecutorFor(to);
-  Micros arrival = network_.FifoArrival(from, to, bytes, exec->clock()->Now());
-  exec->PostAt(arrival, std::move(fn));
+  Micros arrival =
+      network_.FifoArrival(from, to, bytes, ExecutorFor(to)->clock()->Now());
+  Transmit(from, to, arrival, std::move(fn));
+}
+
+void Cluster::Transmit(SiloId from, SiloId to, Micros due,
+                       std::function<void()> fn) {
+  if (links_.empty()) {
+    ExecutorFor(to)->PostAt(due, std::move(fn));
+    return;
+  }
+  const size_t nodes = silos_.size() + 1;
+  links_[(from + 1) * nodes + (to + 1)]->Push(due, std::move(fn));
 }
 
 WireStats Cluster::wire_stats() const {

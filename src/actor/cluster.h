@@ -30,6 +30,7 @@ namespace aodb {
 template <typename T>
 class ActorRef;
 class FaultInjector;
+class Link;
 class MembershipService;
 class StateStorage;
 struct WireMethodEntry;
@@ -402,6 +403,11 @@ class Cluster {
   /// Seals and ships an encoded Result payload back to the caller node.
   void SendWireReply(SiloId from, SiloId to, const WireReplyHandler& reply,
                      std::string result_payload);
+  /// Ships `fn` from node `from` to node `to` (from != to), to run at the
+  /// network model's arrival time `due`: through the link's ordered queue
+  /// on the receiver's workers in real mode, as a timed event under the
+  /// simulator.
+  void Transmit(SiloId from, SiloId to, Micros due, std::function<void()> fn);
 
   void ScheduleReminder(const ActorId& id, const std::string& name,
                         Micros period_us, std::shared_ptr<bool> alive);
@@ -421,6 +427,9 @@ class Cluster {
 
   Directory directory_;
   NetworkModel network_;
+  /// One Link per directed pair of nodes, at (from + 1) * (num_silos + 1) +
+  /// (to + 1) so the client node is index 0; empty under the simulator.
+  std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Silo>> silos_;
   std::unique_ptr<MembershipService> membership_;
   std::atomic<FaultInjector*> fault_injector_{nullptr};

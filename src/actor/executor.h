@@ -64,10 +64,12 @@ class Executor {
   /// network delivery, and storage completion events).
   virtual void PostAfter(Micros delay_us, std::function<void()> fn) = 0;
 
-  /// Schedules `fn` at an absolute time on this executor's clock. The
-  /// message-delivery path uses this (rather than PostAfter) so that
-  /// per-channel FIFO arrival times computed by the network model are
-  /// honored exactly, independent of when the sending thread gets to run.
+  /// Schedules `fn` at an absolute time on this executor's clock. Under the
+  /// simulator the message-delivery path uses this (rather than PostAfter)
+  /// so that per-channel FIFO arrival times computed by the network model
+  /// are honored exactly, independent of when the sending thread gets to
+  /// run; in real mode a Link (actor/link.h) uses it only to wake for a
+  /// message still in flight.
   virtual void PostAt(Micros due, std::function<void()> fn) = 0;
 
   /// The clock that timestamps and delays on this executor refer to.
@@ -81,10 +83,12 @@ class Executor {
   /// True when this executor measures task cost for real instead of charging
   /// the declared `Task::cost_us` up front. Only then may the silo drain
   /// several mailbox envelopes inside one scheduled turn
-  /// (RuntimeOptions::max_turn_batch): under the simulator, batching would
-  /// let every envelope after the first run free of charge and change the
-  /// figure benchmarks' virtual-time results.
-  virtual bool SupportsTurnBatching() const { return false; }
+  /// (RuntimeOptions::max_turn_batch), and only then may the cluster run
+  /// cross-node deliveries as worker tasks (actor/link.h). Under the
+  /// simulator either would change the figure benchmarks' virtual-time
+  /// results: batched envelopes would run free of charge, and a delivery,
+  /// modelled as a free network event, would occupy a virtual CPU.
+  virtual bool MeasuresTaskCost() const { return false; }
 };
 
 }  // namespace aodb

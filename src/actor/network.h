@@ -1,6 +1,7 @@
 // Datacenter network model: computes the one-way delay of a message between
 // nodes (silos or the client). Used in both modes — in real mode the delay
-// is realized by the timer thread, in simulation by virtual-time events.
+// is realized by the receiving Link (actor/link.h), in simulation by
+// virtual-time events.
 
 #ifndef AODB_ACTOR_NETWORK_H_
 #define AODB_ACTOR_NETWORK_H_
@@ -40,7 +41,7 @@ class NetworkModel {
 
   /// Absolute arrival time of a message sent at `now`, clamped strictly
   /// increasing per (from, to) channel so delivery is FIFO regardless of
-  /// jitter. Use with Executor::PostAt.
+  /// jitter: the due time for Executor::PostAt or Link::Push.
   Micros FifoArrival(SiloId from, SiloId to, int64_t bytes, Micros now) {
     if (from == to) return now;
     Micros arrival = now + Delay(from, to, bytes);

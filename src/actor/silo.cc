@@ -23,7 +23,7 @@ Silo::Silo(SiloId id, Cluster* cluster, Executor* executor)
       executor_(executor),
       // The simulator charges each task's declared cost up front, so one
       // task must stay one envelope there or virtual-time results change.
-      turn_batch_(executor->SupportsTurnBatching()
+      turn_batch_(executor->MeasuresTaskCost()
                       ? std::max(1, cluster->options().max_turn_batch)
                       : 1),
       shed_watermark_(cluster->options().overload.shed_watermark),

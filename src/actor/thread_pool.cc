@@ -299,9 +299,9 @@ void ThreadPoolExecutor::TimerLoop() {
       std::function<void()> fn = next.fn;
       timer_queue_.pop();
       lock.unlock();
-      // Delayed callbacks (network delivery, storage completions, timers)
-      // run on the timer thread itself; they are expected to be cheap
-      // enqueue operations.
+      // Delayed callbacks (timers, backoffs, a link's wake-up for a message
+      // still in flight) run on the timer thread itself; they are expected
+      // to be cheap enqueue operations.
       fn();
       lock.lock();
       continue;

@@ -46,7 +46,7 @@ class ThreadPoolExecutor final : public Executor {
   int workers() const override { return static_cast<int>(threads_.size()); }
   /// Merged view of the per-worker stat shards.
   ExecutorStats Stats() const override;
-  bool SupportsTurnBatching() const override { return true; }
+  bool MeasuresTaskCost() const override { return true; }
 
   /// Stops accepting work and joins all threads. Pending immediate tasks are
   /// drained; pending delayed tasks are dropped. Idempotent.

@@ -106,8 +106,11 @@ Status BufReader::GetString(std::string* out) {
 
 namespace {
 
+/// Slicing-by-8 tables: t[0] is the classic byte table; t[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes, so eight bytes fold in
+/// with eight independent lookups instead of a chain of eight.
 struct Crc32cTable {
-  uint32_t t[256];
+  uint32_t t[8][256];
   Crc32cTable() {
     constexpr uint32_t kPoly = 0x82f63b78u;  // Castagnoli, reflected.
     for (uint32_t i = 0; i < 256; ++i) {
@@ -115,19 +118,37 @@ struct Crc32cTable {
       for (int j = 0; j < 8; ++j) {
         crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
   }
 };
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len) {
   static const Crc32cTable table;
+  const auto& t = table.t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table.t[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = LoadLe32(p) ^ crc;
+    uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

@@ -89,7 +89,7 @@ class BufReader {
   size_t pos_;
 };
 
-/// CRC32C (Castagnoli, software table implementation) used to checksum
+/// CRC32C (Castagnoli, software slicing-by-8 implementation) used to checksum
 /// storage log records.
 uint32_t Crc32c(const void* data, size_t len);
 uint32_t Crc32c(const std::string& s);
