@@ -328,11 +328,11 @@ bool RunDetectorTrial(bool suppress_only, uint64_t seed, DetectorResult* out) {
   if (evicted_at == 0) return false;
   out->detect_us.Record(evicted_at - wedge_at);
   ++out->evictions;
-  auto counters = cluster.cluster_counters();
-  out->dead_letters += counters.dead_letters;
-  out->deadline_timeouts += counters.deadline_timeouts;
-  out->failover_resubmitted += counters.failover_resubmitted;
   out->metrics = harness.SnapshotMetrics();
+  const auto& counters = out->metrics.counters;
+  out->dead_letters += counters.at("cluster.dead_letters");
+  out->deadline_timeouts += counters.at("cluster.deadline_timeouts");
+  out->failover_resubmitted += counters.at("cluster.failover_resubmitted");
   ++out->trials;
   return true;
 }

@@ -13,6 +13,18 @@
 #include "common/table_printer.h"
 #include "shm_bench_util.h"
 
+namespace {
+
+/// Integer mean of a byte counter over a message counter in a metrics delta
+/// (0 when no message was counted).
+int64_t MeanBytes(const aodb::MetricsSnapshot& m, const char* bytes,
+                  const char* messages) {
+  int64_t n = m.counters.at(messages);
+  return n > 0 ? m.counters.at(bytes) / n : 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace aodb;
   using namespace aodb::bench;
@@ -56,18 +68,13 @@ int main(int argc, char** argv) {
                   TablePrinter::FmtMsFromUs(h.Percentile(99.9)),
                   TablePrinter::FmtMsFromUs(h.max()),
                   TablePrinter::Fmt(r.utilization * 100, 1),
-                  // Measured mean encoded frame sizes (not the calibrated
-                  // request_bytes/response_bytes constants): every client
+                  // Measured mean encoded frame sizes: every client
                   // operation crosses the client->silo boundary on the wire
                   // lane, so per-op bytes are wire totals over wire counts.
-                  TablePrinter::Fmt(
-                      r.wire.wire_requests > 0
-                          ? r.wire.wire_request_bytes / r.wire.wire_requests
-                          : 0),
-                  TablePrinter::Fmt(
-                      r.wire.wire_replies > 0
-                          ? r.wire.wire_reply_bytes / r.wire.wire_replies
-                          : 0)});
+                  TablePrinter::Fmt(MeanBytes(r.metrics, "wire.request_bytes",
+                                              "wire.requests")),
+                  TablePrinter::Fmt(MeanBytes(r.metrics, "wire.reply_bytes",
+                                              "wire.replies"))});
   }
   table.Print();
   if (!metrics_out.Write()) return 1;

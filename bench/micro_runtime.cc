@@ -6,7 +6,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "actor/actor_ref.h"
+#include "actor/method_registry.h"
 #include "actor/runtime.h"
 #include "sim/sim_harness.h"
 
@@ -25,6 +29,23 @@ class BenchCounter : public ActorBase {
  private:
   int64_t value_ = 0;
 };
+
+/// Registers BenchCounter with `cluster` and its methods with the wire lane.
+/// A client call crosses a node boundary, so the real-mode benchmarks time
+/// frame encode, CRC and decode on the way to the silo.
+void RegisterBenchCounter(Cluster& cluster) {
+  MethodRegistry& reg = MethodRegistry::Global();
+  Status st = reg.Register(BenchCounter::kTypeName, &BenchCounter::Add, "Add");
+  if (st.ok()) {
+    st = reg.Register(BenchCounter::kTypeName, &BenchCounter::Value, "Value");
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "wire registration failed: %s\n",
+                 st.ToString().c_str());
+    std::abort();
+  }
+  cluster.RegisterActorType<BenchCounter>();
+}
 
 void BM_FutureCreateFulfill(benchmark::State& state) {
   for (auto _ : state) {
@@ -71,7 +92,7 @@ void BM_RealModeCallRoundTrip(benchmark::State& state) {
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
   RealClusterHandle handle(options);
-  handle->RegisterActorType<BenchCounter>();
+  RegisterBenchCounter(handle.cluster());
   auto ref = handle->Ref<BenchCounter>("c");
   ref.Call(&BenchCounter::Add, int64_t{1}).Get();  // Activate first.
   for (auto _ : state) {
@@ -82,7 +103,8 @@ BENCHMARK(BM_RealModeCallRoundTrip)->Arg(2)->Arg(8);
 
 /// Sustained fire-and-forget enqueue rate on a real silo: `range(0)` workers,
 /// `range(1)` target actors, one producer thread. Measures the send-side cost
-/// of the same-silo closure lane (drain happens after timing).
+/// of a client-to-silo wire tell, frame encode and CRC included (drain
+/// happens after timing).
 void BM_RealModeTellThroughput(benchmark::State& state) {
   RuntimeOptions options;
   options.num_silos = 1;
@@ -90,7 +112,7 @@ void BM_RealModeTellThroughput(benchmark::State& state) {
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
   RealClusterHandle handle(options);
-  handle->RegisterActorType<BenchCounter>();
+  RegisterBenchCounter(handle.cluster());
   const int actors = static_cast<int>(state.range(1));
   std::vector<ActorRef<BenchCounter>> refs;
   refs.reserve(actors);
@@ -118,8 +140,9 @@ BENCHMARK(BM_RealModeTellThroughput)
 
 /// End-to-end fire-and-forget throughput: each iteration sends a burst of
 /// tells and waits for every one to be PROCESSED, so the rate includes the
-/// full schedule/dispatch path, not just the enqueue. This is the headline
-/// same-silo hot-path number (`range(0)` workers, `range(1)` actors).
+/// full path — frame encode, link, decode, schedule, dispatch — not just
+/// the enqueue. This is the headline client-to-silo hot-path number
+/// (`range(0)` workers, `range(1)` actors).
 /// `with_recorder` toggles the flight recorder so bench_compare.sh can
 /// report its hot-path overhead (the recorder is on by default in
 /// production, so the ON variant is the headline number).
@@ -131,7 +154,7 @@ void RunTellDrain(benchmark::State& state, bool with_recorder) {
   options.network.jitter_us = 0;
   options.observability.enable_flight_recorder = with_recorder;
   RealClusterHandle handle(options);
-  handle->RegisterActorType<BenchCounter>();
+  RegisterBenchCounter(handle.cluster());
   const int actors = static_cast<int>(state.range(1));
   constexpr int kBurstPerActor = 512;
   std::vector<ActorRef<BenchCounter>> refs;
@@ -194,7 +217,7 @@ void BM_SimulatorEventRate(benchmark::State& state) {
     options.num_silos = 4;
     options.workers_per_silo = 2;
     SimHarness harness(options);
-    harness.cluster().RegisterActorType<BenchCounter>();
+    RegisterBenchCounter(harness.cluster());
     std::vector<ActorRef<BenchCounter>> refs;
     for (int i = 0; i < 64; ++i) {
       refs.push_back(

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "actor/actor_ref.h"
+#include "actor/method_registry.h"
 #include "actor/runtime.h"
 #include "common/codec.h"
 #include "common/telemetry.h"
@@ -62,6 +63,20 @@ class ScaleActor : public PersistentActor<ScaleState> {
   }
   int64_t Value() { return state().value; }
 };
+
+/// Client tells cross a node boundary, so they go out as wire frames.
+void RegisterScaleWire() {
+  MethodRegistry& reg = MethodRegistry::Global();
+  Status st = reg.Register(ScaleActor::kTypeName, &ScaleActor::Add, "Add");
+  if (st.ok()) {
+    st = reg.Register(ScaleActor::kTypeName, &ScaleActor::Value, "Value");
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "wire registration failed: %s\n",
+                 st.ToString().c_str());
+    std::abort();
+  }
+}
 
 int64_t EnvInt(const char* name, int64_t fallback) {
   const char* v = std::getenv(name);
@@ -99,6 +114,7 @@ Row RunClusterRow(int64_t registered, int64_t messages, int64_t resident_cap,
   options.network.jitter_us = 0;
   options.max_resident_activations = static_cast<int>(resident_cap);
   RealClusterHandle handle(options);
+  RegisterScaleWire();
   handle->RegisterActorType<ScaleActor>();
   MemKvStore backing;
   handle->RegisterStateStorage(

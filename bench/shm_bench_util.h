@@ -12,6 +12,7 @@
 #include <string>
 
 #include "actor/actor_ref.h"
+#include "actor/method_registry.h"
 #include "common/telemetry.h"
 #include "loadgen/shm_loadgen.h"
 #include "shm/platform.h"
@@ -111,13 +112,11 @@ struct ShmRunResult {
   LoadGenReport report;
   /// Mean CPU utilization across silos during the measurement interval.
   double utilization = 0;
-  /// Wire-lane traffic (measured encoded frame sizes) over the load
-  /// interval only; mean request/reply bytes per remote call follow from
-  /// wire_request_bytes / wire_requests.
-  WireStats wire;
   /// Full registry delta over the load interval (counters/histograms are
   /// interval rates, gauges are end-of-run levels) — what --metrics-json
-  /// exports per sweep point.
+  /// exports per sweep point. Wire traffic is "wire.requests",
+  /// "wire.request_bytes", "wire.replies" and "wire.reply_bytes" (measured
+  /// encoded frame sizes).
   MetricsSnapshot metrics;
   bool setup_ok = false;
   bool drained = false;
@@ -151,13 +150,15 @@ inline ShmRunResult RunShmExperiment(const ShmRunConfig& config) {
   if (!setup.Ready() || !setup.Get().ok() || !setup.Get().value().ok()) {
     return result;
   }
-  result.setup_ok = true;
 
   if (config.dormant_registered > 0) {
     // Register the dormant population before measurement: one touch per
     // actor creates its directory entry, chunked so the eviction loop pages
     // the cold tail out as the sweep proceeds instead of ballooning the
     // resident set.
+    Status wired = MethodRegistry::Global().Register(
+        DormantActor::kTypeName, &DormantActor::Ping, "Ping");
+    if (!wired.ok()) return result;
     harness.cluster().RegisterActorType<DormantActor>();
     constexpr int kChunk = 8192;
     for (int i = 0; i < config.dormant_registered; ++i) {
@@ -168,13 +169,13 @@ inline ShmRunResult RunShmExperiment(const ShmRunConfig& config) {
     }
     harness.RunFor(5 * kMicrosPerSecond);
   }
+  result.setup_ok = true;
 
   // Measure utilization over the load interval only.
   std::vector<Micros> busy_before;
   for (int i = 0; i < config.runtime.num_silos; ++i) {
     busy_before.push_back(harness.silo_executor(i)->Stats().busy_us);
   }
-  WireStats wire_before = harness.cluster().wire_stats();
   MetricsSnapshot metrics_before = harness.SnapshotMetrics();
   Micros load_start = harness.Now();
 
@@ -197,20 +198,6 @@ inline ShmRunResult RunShmExperiment(const ShmRunConfig& config) {
   // can slightly exceed 1 at saturation; clamp for reporting.
   result.utilization =
       capacity > 0 ? std::min(1.0, total_busy / capacity) : 0;
-  WireStats wire_after = harness.cluster().wire_stats();
-  result.wire.local_closure_sends =
-      wire_after.local_closure_sends - wire_before.local_closure_sends;
-  result.wire.wire_requests =
-      wire_after.wire_requests - wire_before.wire_requests;
-  result.wire.wire_request_bytes =
-      wire_after.wire_request_bytes - wire_before.wire_request_bytes;
-  result.wire.wire_replies = wire_after.wire_replies - wire_before.wire_replies;
-  result.wire.wire_reply_bytes =
-      wire_after.wire_reply_bytes - wire_before.wire_reply_bytes;
-  result.wire.closure_fallbacks =
-      wire_after.closure_fallbacks - wire_before.closure_fallbacks;
-  result.wire.decode_failures =
-      wire_after.decode_failures - wire_before.decode_failures;
   result.metrics = harness.SnapshotMetrics().Delta(metrics_before);
   result.report = gen.Finish();
   return result;

@@ -5,11 +5,14 @@
 //   $ ./build/examples/aodb_features
 
 #include <cstdio>
+#include <cstdlib>
 
+#include "actor/method_registry.h"
 #include "aodb/index.h"
 #include "aodb/query.h"
 #include "aodb/registry.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "sim/sim_harness.h"
 
 using namespace aodb;
@@ -61,12 +64,48 @@ class DepotActor : public TransactionalActor {
   int64_t staged_out_ = 0;
 };
 
+/// The result of a call the simulator has already been run for; exits
+/// non-zero if it is still pending or failed.
+template <typename T>
+T Must(const Future<T>& f, const char* what) {
+  if (!f.Ready()) {
+    std::fprintf(stderr, "%s did not complete\n", what);
+    std::exit(1);
+  }
+  Result<T> r = f.Get();
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
+}
+
+/// Wire registrations: a call between silos, or from the client, travels
+/// as a serialized frame and needs the invoked method's registration.
+Status RegisterDepotWireMethods() {
+  MethodRegistry& reg = MethodRegistry::Global();
+  AODB_RETURN_NOT_OK(RegisterAodbCoreWireMethods());
+  AODB_RETURN_NOT_OK(RegisterTransactionalWireMethods(DepotActor::kTypeName));
+  AODB_RETURN_NOT_OK(
+      reg.Register(DepotActor::kTypeName, &DepotActor::Init, "Init"));
+  AODB_RETURN_NOT_OK(
+      reg.Register(DepotActor::kTypeName, &DepotActor::Stock, "Stock"));
+  return reg.Register(DepotActor::kTypeName, &DepotActor::Region, "Region");
+}
+
 int main() {
   RuntimeOptions options;
   options.num_silos = 2;
   options.workers_per_silo = 2;
   SimHarness harness(options);
   auto& cluster = harness.cluster();
+  Status wired = RegisterDepotWireMethods();
+  if (!wired.ok()) {
+    std::fprintf(stderr, "registration failed: %s\n",
+                 wired.ToString().c_str());
+    return 1;
+  }
   cluster.RegisterActorType<DepotActor>();
   cluster.RegisterActorType<RegistryActor>();
   cluster.RegisterActorType<IndexActor>();
@@ -92,7 +131,7 @@ int main() {
   // --- Type-wide query (registry + fan-out) -----------------------------------
   auto all_stock = QueryAll<DepotActor>(cluster, &DepotActor::Stock);
   harness.RunFor(10 * kMicrosPerSecond);
-  std::vector<int64_t> stocks = all_stock.Get().value();
+  std::vector<int64_t> stocks = Must(all_stock, "QueryAll");
   int64_t total = 0;
   for (int64_t s : stocks) total += s;
   std::printf("global stock across %zu depots: %lld\n", stocks.size(),
@@ -103,7 +142,7 @@ int main() {
   auto danish = QueryByIndex<DepotActor>(cluster, by_region, "dk",
                                          &DepotActor::Stock);
   harness.RunFor(10 * kMicrosPerSecond);
-  std::vector<int64_t> dk_stocks = danish.Get().value();
+  std::vector<int64_t> dk_stocks = Must(danish, "QueryByIndex");
   int64_t dk_total = 0;
   for (int64_t s : dk_stocks) dk_total += s;
   std::printf("stock in region dk (via index): %lld across %zu depots\n",
@@ -114,7 +153,7 @@ int main() {
                                     [](const int64_t& s) { return s < 20; });
   harness.RunFor(10 * kMicrosPerSecond);
   std::printf("depots below the restock threshold: %zu\n",
-              low.Get().value().size());
+              Must(low, "QueryWhere").size());
 
   // --- Multi-actor transaction ----------------------------------------------------
   // Rebalance 15 units Berlin -> Oslo atomically.
@@ -124,8 +163,10 @@ int main() {
       TxnOp{DepotActor::kTypeName, "depot-oslo", "receive", "15"},
   });
   harness.RunFor(10 * kMicrosPerSecond);
+  Status rebalanced = Must(moved, "rebalance");
   std::printf("rebalance 15 berlin->oslo: %s\n",
-              moved.Get().value().ToString().c_str());
+              rebalanced.ToString().c_str());
+  if (!rebalanced.ok()) return 1;
 
   // An impossible transfer aborts atomically.
   auto too_much = txn.Run({
@@ -133,8 +174,9 @@ int main() {
       TxnOp{DepotActor::kTypeName, "depot-cph", "receive", "500"},
   });
   harness.RunFor(10 * kMicrosPerSecond);
-  std::printf("overdraw attempt: %s\n",
-              too_much.Get().value().ToString().c_str());
+  Status overdraw = Must(too_much, "overdraw attempt");
+  std::printf("overdraw attempt: %s\n", overdraw.ToString().c_str());
+  if (overdraw.ok()) return 1;  // It must abort, leaving stock untouched.
 
   auto oslo = cluster.Ref<DepotActor>("depot-oslo").Call(&DepotActor::Stock);
   auto berlin =
@@ -142,9 +184,9 @@ int main() {
   auto cph = cluster.Ref<DepotActor>("depot-cph").Call(&DepotActor::Stock);
   harness.RunFor(5 * kMicrosPerSecond);
   std::printf("final stock: oslo=%lld berlin=%lld cph=%lld\n",
-              static_cast<long long>(oslo.Get().value()),
-              static_cast<long long>(berlin.Get().value()),
-              static_cast<long long>(cph.Get().value()));
+              static_cast<long long>(Must(oslo, "oslo stock")),
+              static_cast<long long>(Must(berlin, "berlin stock")),
+              static_cast<long long>(Must(cph, "cph stock")));
   std::printf("OK\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 //   $ ./build/examples/cattle_tracing
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "cattle/platform.h"
 #include "sim/sim_harness.h"
@@ -31,6 +32,16 @@ T Await(SimHarness& harness, Future<T> f, const char* what) {
   return std::move(r).value();
 }
 
+/// Await for calls that answer a Status: a non-OK answer aborts the demo.
+Status AwaitOk(SimHarness& harness, Future<Status> f, const char* what) {
+  Status st = Await(harness, std::move(f), what);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+    std::exit(1);
+  }
+  return st;
+}
+
 }  // namespace
 
 int main() {
@@ -43,16 +54,16 @@ int main() {
   auto& cluster = harness.cluster();
 
   // --- A calf is born at farm-jutland ---------------------------------------
-  Await(harness, platform.RegisterCow("cow-1024", "farm-jutland", "Angus"),
-        "register");
+  AwaitOk(harness, platform.RegisterCow("cow-1024", "farm-jutland", "Angus"),
+          "register");
   std::printf("registered cow-1024 (Angus) at farm-jutland\n");
 
   // --- Pasture with a geo-fence; the collar reports movement ------------------
   auto cow = cluster.Ref<CowActor>("cow-1024");
-  Await(harness,
-        cow.Call(&CowActor::SetPasture,
-                 GeoFence::Rectangle(55.00, 10.00, 55.10, 10.10)),
-        "set pasture");
+  AwaitOk(harness,
+          cow.Call(&CowActor::SetPasture,
+                   GeoFence::Rectangle(55.00, 10.00, 55.10, 10.10)),
+          "set pasture");
   for (int i = 0; i < 8; ++i) {
     // The cow wanders; the last position steps outside the fence.
     double lat = 55.05 + 0.009 * i;
@@ -73,7 +84,7 @@ int main() {
   }
 
   // --- Ownership transfer as a 2PC transaction (paper §4.4) --------------------
-  Status transfer = Await(
+  Status transfer = AwaitOk(
       harness,
       platform.TransferOwnershipTxn("cow-1024", "farm-jutland", "farm-fyn"),
       "transfer");
@@ -89,7 +100,7 @@ int main() {
               cuts.size());
 
   // --- Distribution to a retailer -------------------------------------------------
-  Status shipped = Await(
+  Status shipped = AwaitOk(
       harness,
       platform.ShipCuts("dist-dk", "shop-cph", cuts, "Odense", "Copenhagen"),
       "shipment");

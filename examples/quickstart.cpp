@@ -8,8 +8,10 @@
 // perpetuity (actors are addressed by name and activated on demand).
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "actor/actor_ref.h"
+#include "actor/method_registry.h"
 #include "actor/runtime.h"
 
 using namespace aodb;
@@ -42,6 +44,18 @@ class DeviceShadow : public ActorBase {
   int64_t reports_ = 0;
 };
 
+/// Waits (at most 5 s) for a call's result; exits non-zero if it failed.
+template <typename T>
+T Await(const Future<T>& f, const char* what) {
+  Result<T> r = f.GetFor(5 * kMicrosPerSecond);
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
+}
+
 int main() {
   // A 2-silo cluster on real thread pools (2 worker threads per silo).
   RuntimeOptions options;
@@ -49,6 +63,25 @@ int main() {
   options.workers_per_silo = 2;
   RealClusterHandle handle(options);
   handle->RegisterActorType<DeviceShadow>();
+
+  // A call from outside the silo (or between silos) travels as a serialized
+  // frame, so each method it invokes is registered for the wire.
+  MethodRegistry& methods = MethodRegistry::Global();
+  for (Status st :
+       {methods.Register(DeviceShadow::kTypeName, &DeviceShadow::Report,
+                         "Report"),
+        methods.Register(DeviceShadow::kTypeName, &DeviceShadow::LastValue,
+                         "LastValue"),
+        methods.Register(DeviceShadow::kTypeName, &DeviceShadow::Reports,
+                         "Reports"),
+        methods.Register(DeviceShadow::kTypeName, &DeviceShadow::Describe,
+                         "Describe")}) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "registration failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
+  }
 
   // Virtual actors need no explicit creation: referencing "thermometer-1"
   // activates it on first message.
@@ -60,19 +93,27 @@ int main() {
   }
 
   // Request/response: Call returns a Future.
-  // (Blocking Get() is fine here — we are an external client, not an actor.)
-  while (device.Call(&DeviceShadow::Reports).Get().value() < 10) {
+  // (Blocking waits are fine here — we are an external client, not an
+  // actor.) Tells are asynchronous, so poll until all ten have applied.
+  int64_t reports = 0;
+  for (int poll = 0; poll < 1000 && reports < 10; ++poll) {
+    reports = Await(device.Call(&DeviceShadow::Reports), "Reports");
   }
-  auto value = device.Call(&DeviceShadow::LastValue).Get();
-  auto where = device.Call(&DeviceShadow::Describe).Get();
-  std::printf("latest value : %.1f\n", value.value());
-  std::printf("activation   : %s\n", where.value().c_str());
+  if (reports < 10) {
+    std::fprintf(stderr, "only %lld of 10 reports applied\n",
+                 static_cast<long long>(reports));
+    return 1;
+  }
+  double value = Await(device.Call(&DeviceShadow::LastValue), "LastValue");
+  std::string where = Await(device.Call(&DeviceShadow::Describe), "Describe");
+  std::printf("latest value : %.1f\n", value);
+  std::printf("activation   : %s\n", where.c_str());
 
   // A different key is a different actor with its own state.
   auto other = handle->Ref<DeviceShadow>("thermometer-2");
   std::printf("other device : %lld reports (fresh actor)\n",
               static_cast<long long>(
-                  other.Call(&DeviceShadow::Reports).Get().value()));
+                  Await(other.Call(&DeviceShadow::Reports), "Reports")));
 
   std::printf("activations  : %zu\n", handle->TotalActivations());
   std::printf("OK\n");

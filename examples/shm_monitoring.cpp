@@ -9,6 +9,7 @@
 // Runs on the discrete-event simulator so the output is deterministic.
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "loadgen/signal.h"
 #include "shm/platform.h"
@@ -18,6 +19,23 @@
 
 using namespace aodb;
 using namespace aodb::shm;
+
+/// The result of a call the simulator has already been run for; exits
+/// non-zero if it is still pending or failed.
+template <typename T>
+T Must(const Future<T>& f, const char* what) {
+  if (!f.Ready()) {
+    std::fprintf(stderr, "%s did not complete\n", what);
+    std::exit(1);
+  }
+  Result<T> r = f.Get();
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
+}
 
 int main() {
   RuntimeOptions options;
@@ -47,8 +65,9 @@ int main() {
 
   auto setup = platform.Setup(topology);
   harness.RunFor(30 * kMicrosPerSecond);
-  if (!setup.Get().value().ok()) {
-    std::fprintf(stderr, "setup failed\n");
+  Status set_up = Must(setup, "setup");
+  if (!set_up.ok()) {
+    std::fprintf(stderr, "setup failed: %s\n", set_up.ToString().c_str());
     return 1;
   }
   std::printf("topology: %d sensors, 1 organization, %d channels\n",
@@ -68,7 +87,7 @@ int main() {
   // --- Live data (requirement 7) -------------------------------------------
   auto live = platform.LiveData(topology, 0);
   harness.RunFor(5 * kMicrosPerSecond);
-  std::vector<LiveDataEntry> entries = live.Get().value();
+  std::vector<LiveDataEntry> entries = Must(live, "live data");
   std::printf("\nlive data: %zu channels reporting, e.g.\n", entries.size());
   for (size_t i = 0; i < 3 && i < entries.size(); ++i) {
     std::printf("  %-8s t=%lldus value=%.3f\n", entries[i].channel_key.c_str(),
@@ -81,13 +100,13 @@ int main() {
                                  harness.Now());
   harness.RunFor(2 * kMicrosPerSecond);
   std::printf("\nraw range of s3.c0 (last 15s): %zu points\n",
-              range.Get().value().points.size());
+              Must(range, "raw range").points.size());
 
   // --- Statistical aggregates (requirement 6) --------------------------------
   auto aggs = platform.HourAggregates(topology, 3, 0, 0, harness.Now());
   harness.RunFor(2 * kMicrosPerSecond);
   std::printf("\nhourly aggregates of s3.c0:\n");
-  std::vector<AggregateView> agg_windows = aggs.Get().value();
+  std::vector<AggregateView> agg_windows = Must(aggs, "hour aggregates");
   for (const AggregateView& w : agg_windows) {
     std::printf("  window@%3llds n=%-3lld mean=%6.3f min=%6.3f max=%6.3f "
                 "stddev=%5.3f\n",
@@ -101,7 +120,8 @@ int main() {
                  .Ref<PhysicalChannelActor>(ShmPlatform::ChannelKey(3, 0))
                  .Call(&PhysicalChannelActor::AccumulatedChange);
   harness.RunFor(2 * kMicrosPerSecond);
-  std::printf("\naccumulated change of s3.c0: %.2f\n", acc.Get().value());
+  std::printf("\naccumulated change of s3.c0: %.2f\n",
+              Must(acc, "accumulated change"));
 
   // --- Alerts (requirement 5) ---------------------------------------------------
   auto alerts = harness.cluster()
@@ -109,22 +129,26 @@ int main() {
                     .Call(&UserActor::TotalAlerts);
   harness.RunFor(2 * kMicrosPerSecond);
   std::printf("\nthreshold alerts delivered to the org user: %lld\n",
-              static_cast<long long>(alerts.Get().value()));
+              static_cast<long long>(Must(alerts, "total alerts")));
 
   // --- Durability: deactivate everything, reactivate, state is intact -----------
   auto flushed = harness.cluster().DeactivateAll();
   harness.RunFor(10 * kMicrosPerSecond);
+  Status flush = Must(flushed, "DeactivateAll");
+  if (!flush.ok()) {
+    std::fprintf(stderr, "flush failed: %s\n", flush.ToString().c_str());
+    return 1;
+  }
   std::printf("\nafter DeactivateAll: %zu activations, %lld state snapshots "
               "persisted\n",
               harness.cluster().TotalActivations(),
               static_cast<long long>(backing->Count().value()));
-  (void)flushed;
   auto acc2 = harness.cluster()
                   .Ref<PhysicalChannelActor>(ShmPlatform::ChannelKey(3, 0))
                   .Call(&PhysicalChannelActor::AccumulatedChange);
   harness.RunFor(5 * kMicrosPerSecond);
   std::printf("reactivated s3.c0 accumulated change: %.2f (restored)\n",
-              acc2.Get().value());
+              Must(acc2, "reactivated accumulated change"));
   std::printf("\nOK\n");
   return 0;
 }

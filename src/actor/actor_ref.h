@@ -24,12 +24,10 @@
 
 namespace aodb {
 
-/// Per-call overrides: simulated CPU cost, wire size of the request, and
-/// deadline budget.
+/// Per-call overrides: simulated CPU cost, deadline budget and shed class.
+/// (A remote call's network charge is its measured frame size.)
 struct CallOptions {
   Micros cost_us = kDefaultMessageCostUs;
-  int64_t request_bytes = 128;
-  int64_t response_bytes = 128;
   /// Relative deadline for this call (0 = inherit). Resolution: an explicit
   /// timeout here wins (clamped by any inherited turn deadline); otherwise
   /// the caller's turn deadline is inherited; otherwise
@@ -70,14 +68,15 @@ class ActorRef {
 
   /// Asynchronously invokes an actor method, returning a future of its
   /// result. The request and the response each pay network delay if caller
-  /// and target are on different nodes.
+  /// and target are on different nodes; a call across nodes needs the
+  /// method's MethodRegistry registration (else FailedPrecondition).
   template <typename R, typename C, typename... MArgs, typename... Args>
   Future<typename internal::CallResult<R>::type> Call(R (C::*method)(MArgs...),
                                                       Args&&... args) const {
     return CallWith(CallOptions{}, method, std::forward<Args>(args)...);
   }
 
-  /// Call with explicit cost/size options (used by the calibrated workloads).
+  /// Call with explicit cost/deadline/priority options.
   template <typename R, typename C, typename... MArgs, typename... Args>
   Future<typename internal::CallResult<R>::type> CallWith(
       const CallOptions& opts, R (C::*method)(MArgs...),
@@ -91,43 +90,35 @@ class ActorRef {
     env.caller_silo = caller_silo_;
     env.principal = principal_;
     env.cost_us = opts.cost_us;
-    env.approx_bytes = opts.request_bytes;
     env.priority = opts.priority;
     SiloId caller = caller_silo_;
     Cluster* cluster = cluster_;
-    int64_t response_bytes = opts.response_bytes;
     auto args_tuple =
         std::make_shared<std::tuple<std::decay_t<MArgs>...>>(
             std::forward<Args>(args)...);
-    env.fn = [method, args_tuple, promise, caller, cluster,
-              response_bytes](ActorBase& base) {
+    // The closure lane only ever runs on the caller's own silo (a remote
+    // send goes out as a wire frame), so the reply completes the promise in
+    // place: there is no reply hop.
+    env.fn = [method, args_tuple, promise](ActorBase& base) {
       TActor& actor = static_cast<TActor&>(base);
-      SiloId here = actor.ctx().silo();
-      auto deliver = [cluster, promise, caller, here,
-                      response_bytes](Result<RT>&& r) {
-        cluster->SendReply(here, caller, response_bytes,
-                           [promise, r = std::move(r)]() mutable {
-                             promise.SetResult(std::move(r));
-                           });
-      };
       if constexpr (IsFuture<R>::value) {
         std::apply(
             [&](auto&... unpacked) {
               (actor.*method)(unpacked...)
-                  .OnReady([deliver](Result<RT>&& r) mutable {
-                    deliver(std::move(r));
+                  .OnReady([promise](Result<RT>&& r) {
+                    promise.SetResult(std::move(r));
                   });
             },
             *args_tuple);
       } else if constexpr (std::is_void_v<R>) {
         std::apply([&](auto&... unpacked) { (actor.*method)(unpacked...); },
                    *args_tuple);
-        deliver(Result<RT>(Unit{}));
+        promise.SetValue(Unit{});
       } else {
         R value = std::apply(
             [&](auto&... unpacked) { return (actor.*method)(unpacked...); },
             *args_tuple);
-        deliver(Result<RT>(std::move(value)));
+        promise.SetValue(std::move(value));
       }
     };
     env.fail = [promise](const Status& st) { promise.SetError(st); };
@@ -147,8 +138,8 @@ class ActorRef {
     }
     TraceContext trace = env.trace;
     // Wire lane: only when the full signature is wire-encodable (checked at
-    // compile time — unserializable test actors simply never take it) AND
-    // the method is registered. Cluster::Send picks the lane after
+    // compile time) AND the method is registered; anything else can only be
+    // called on the caller's own silo. Cluster::Send picks the lane after
     // placement; arguments are encoded lazily on an actual remote hop.
     if constexpr (WireSupported<RT, std::decay_t<MArgs>...>::value) {
       if (const WireMethodInfo* info =
@@ -214,7 +205,7 @@ class ActorRef {
     TellWith(CallOptions{}, method, std::forward<Args>(args)...);
   }
 
-  /// Tell with explicit cost/size options.
+  /// Tell with explicit cost/deadline/priority options.
   template <typename R, typename C, typename... MArgs, typename... Args>
   void TellWith(const CallOptions& opts, R (C::*method)(MArgs...),
                 Args&&... args) const {
@@ -225,7 +216,6 @@ class ActorRef {
     env.caller_silo = caller_silo_;
     env.principal = principal_;
     env.cost_us = opts.cost_us;
-    env.approx_bytes = opts.request_bytes;
     env.priority = opts.priority;
     auto args_tuple =
         std::make_shared<std::tuple<std::decay_t<MArgs>...>>(

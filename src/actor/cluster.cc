@@ -49,7 +49,6 @@ Cluster::Cluster(const RuntimeOptions& options,
   wire_request_bytes_ = metrics_.GetCounter("wire.request_bytes");
   wire_replies_ = metrics_.GetCounter("wire.replies");
   wire_reply_bytes_ = metrics_.GetCounter("wire.reply_bytes");
-  closure_fallbacks_ = metrics_.GetCounter("wire.closure_fallbacks");
   wire_decode_failures_ = metrics_.GetCounter("wire.decode_failures");
   activation_paged_out_ = metrics_.GetCounter("activation.paged_out");
   activation_faults_ = metrics_.GetCounter("activation.fault.count");
@@ -57,6 +56,14 @@ Cluster::Cluster(const RuntimeOptions& options,
   activation_fault_wait_ =
       metrics_.GetHistogram("activation.fault.queue_wait_us");
   directory_.BindMetrics(&metrics_);
+  // Every actor type answers reminder ticks, which reach it from the client
+  // node as wire tells.
+  MethodRegistry& registry = MethodRegistry::Global();
+  Status st = registry.RegisterForAllTypes(&ActorBase::ReceiveReminder,
+                                           "ActorBase.ReceiveReminder");
+  assert(st.ok());
+  (void)st;
+  reminder_wire_ = registry.Find(&ActorBase::ReceiveReminder);
   if (client_executor_->MeasuresTaskCost()) {
     const int nodes = options.num_silos + 1;
     links_.resize(static_cast<size_t>(nodes) * nodes);
@@ -219,14 +226,10 @@ void Cluster::Send(Envelope env) {
   }
   bool duplicate =
       injector != nullptr && injector->ShouldDuplicateMessage();
-  if (env.wire != nullptr && env.wire_encode_args) {
-    SendWire(std::move(env), from, target, duplicate);
-    return;
-  }
-  // Closure lane for a remote send: only legal when the method has no wire
-  // registration (tests and ad-hoc actors). A real network cannot ship
-  // closures, so strict deployments fail fast instead.
-  if (options_.wire.require_wire) {
+  if (env.wire == nullptr || !env.wire_encode_args) {
+    // A network cannot ship a closure: a remote send is a wire frame or
+    // nothing, so a method without a MethodRegistry registration fails at
+    // its first cross-node use.
     AODB_LOG(Error, "cross-silo send to %s has no wire registration",
              env.target.ToString().c_str());
     if (env.fail) {
@@ -236,35 +239,7 @@ void Cluster::Send(Envelope env) {
     }
     return;
   }
-  closure_fallbacks_->Add();
-  env.cost_us += options_.network.serialization_cost_us;
-  Executor* exec = silo_executors_[target];
-  // A reorder hold-back lands AFTER the FIFO arrival slot is claimed, so
-  // later sends on the channel overtake this message.
-  Micros reorder_us = injector != nullptr ? injector->NextReorderDelay() : 0;
-  if (duplicate) {
-    // At-least-once delivery under retransmission: the same envelope
-    // arrives twice. Calls resolve with the first reply (promises are
-    // first-fulfillment-wins); non-idempotent tells observe the anomaly.
-    // The duplicate draws its OWN hold-back: a real retransmission can
-    // surface long after the original (and after the actor it re-targets
-    // has idled out) — the nastiest stale-mail shape.
-    Envelope copy = env;
-    Micros dup_reorder_us =
-        injector != nullptr ? injector->NextDuplicateLag() : 0;
-    Micros dup_arrival = network_.FifoArrival(from, target, copy.approx_bytes,
-                                              exec->clock()->Now());
-    Transmit(from, target, dup_arrival + dup_reorder_us,
-             [silo, copy = std::move(copy)]() mutable {
-               silo->Deliver(std::move(copy));
-             });
-  }
-  Micros arrival = network_.FifoArrival(from, target, env.approx_bytes,
-                                        exec->clock()->Now());
-  Transmit(from, target, arrival + reorder_us,
-           [silo, env = std::move(env)]() mutable {
-             silo->Deliver(std::move(env));
-           });
+  SendWire(std::move(env), from, target, duplicate);
 }
 
 void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
@@ -308,10 +283,9 @@ void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
   if (FaultInjector* injector = fault_injector()) {
     injector->MaybeCorruptFrame(frame.get());
   }
+  // The measured frame size is what the network model charges transfer
+  // time for.
   int64_t bytes = static_cast<int64_t>(frame->size());
-  // The measured frame size — not an estimate — is what the network model
-  // charges transfer time for.
-  env.approx_bytes = bytes;
   wire_requests_->Add();
   wire_request_bytes_->Add(bytes);
   Executor* exec = silo_executors_[target];
@@ -320,16 +294,17 @@ void Cluster::SendWire(Envelope env, SiloId from, SiloId target,
   auto deliver = [self, target, from, frame, reply] {
     self->DeliverWireFrame(target, from, frame, reply);
   };
-  // As in the closure lane: a reorder hold-back is added after the FIFO
-  // slot is claimed, so fresher frames overtake this one.
+  // A reorder hold-back is added after the FIFO slot is claimed, so
+  // fresher frames overtake this one.
   FaultInjector* injector = fault_injector();
   Micros reorder_us = injector != nullptr ? injector->NextReorderDelay() : 0;
   if (duplicate) {
     // Retransmission anomaly: the same frame arrives twice, the method runs
     // twice, and the duplicate reply is dropped by the caller's promise
-    // (first fulfillment wins; see PromiseDuplicatesDropped). As in the
-    // closure lane, the duplicate draws its own hold-back so it can arrive
-    // well after the original — stale mail against a moved-on directory.
+    // (first fulfillment wins; see PromiseDuplicatesDropped). The duplicate
+    // draws its own hold-back so it can arrive well after the original (and
+    // after the actor it re-targets has idled out) — stale mail against a
+    // moved-on directory.
     Micros dup_reorder_us =
         injector != nullptr ? injector->NextDuplicateLag() : 0;
     Micros dup_arrival =
@@ -379,10 +354,9 @@ void Cluster::DeliverWireFrame(SiloId target, SiloId caller_silo,
   env.trace.trace_id = req->trace_id;
   env.trace.span_id = req->parent_span_id;
   env.trace.sampled = req->trace_sampled;
-  env.approx_bytes = static_cast<int64_t>(frame->size());
   // Keep the wire capability on the dispatch envelope: if the silo reroutes
-  // it (deactivation race, crash), the resend stays on the wire lane with
-  // the cached argument payload instead of silently upgrading to closures.
+  // it (deactivation race, crash), the resend goes out as a frame again,
+  // from the cached argument payload.
   env.wire = &entry->info;
   auto args = std::make_shared<const std::string>(std::move(req->args));
   env.wire_encode_args = [args] { return *args; };
@@ -417,15 +391,12 @@ void Cluster::SendWireReply(SiloId from, SiloId to,
   int64_t bytes = static_cast<int64_t>(frame.size());
   wire_replies_->Add();
   wire_reply_bytes_->Add(bytes);
-  SendReply(from, to, bytes, [reply, frame = std::move(frame)]() mutable {
+  auto deliver = [reply, frame = std::move(frame)]() mutable {
     reply(Result<std::string>(std::move(frame)));
-  });
-}
-
-void Cluster::SendReply(SiloId from, SiloId to, int64_t bytes,
-                        std::function<void()> fn) {
+  };
   if (from == to) {
-    fn();
+    // The dispatch envelope was rerouted onto the caller's own silo.
+    deliver();
     return;
   }
   if (network_.Partitioned(from, to)) {
@@ -437,7 +408,7 @@ void Cluster::SendReply(SiloId from, SiloId to, int64_t bytes,
   }
   Micros arrival =
       network_.FifoArrival(from, to, bytes, ExecutorFor(to)->clock()->Now());
-  Transmit(from, to, arrival, std::move(fn));
+  Transmit(from, to, arrival, std::move(deliver));
 }
 
 void Cluster::Transmit(SiloId from, SiloId to, Micros due,
@@ -448,29 +419,6 @@ void Cluster::Transmit(SiloId from, SiloId to, Micros due,
   }
   const size_t nodes = silos_.size() + 1;
   links_[(from + 1) * nodes + (to + 1)]->Push(due, std::move(fn));
-}
-
-WireStats Cluster::wire_stats() const {
-  WireStats s;
-  s.local_closure_sends = local_closure_sends_->value();
-  s.wire_requests = wire_requests_->value();
-  s.wire_request_bytes = wire_request_bytes_->value();
-  s.wire_replies = wire_replies_->value();
-  s.wire_reply_bytes = wire_reply_bytes_->value();
-  s.closure_fallbacks = closure_fallbacks_->value();
-  s.decode_failures = wire_decode_failures_->value();
-  return s;
-}
-
-ClusterCounters Cluster::cluster_counters() const {
-  ClusterCounters c;
-  c.dead_letters = dead_letters_->value();
-  c.auto_evictions = auto_evictions_->value();
-  c.failover_resubmitted = failover_resubmitted_->value();
-  c.failover_failed = failover_failed_->value();
-  c.deadline_timeouts = deadline_timeouts_->value();
-  c.no_live_silo_rejects = no_live_silo_rejects_->value();
-  return c;
 }
 
 MetricsSnapshot Cluster::SnapshotMetrics() const {
@@ -622,7 +570,8 @@ void Cluster::ScheduleReminder(const ActorId& id, const std::string& name,
                                Micros period_us,
                                std::shared_ptr<bool> alive) {
   // Reminder ticks originate from the runtime (client node executor) and
-  // are delivered as regular messages, re-activating the target if needed.
+  // are delivered as wire tells of ActorBase::ReceiveReminder,
+  // re-activating the target if needed.
   auto fire = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_fire = fire;
   Cluster* self = this;
@@ -633,7 +582,12 @@ void Cluster::ScheduleReminder(const ActorId& id, const std::string& name,
     env.target = id;
     env.caller_silo = kClientSiloId;
     env.cost_us = kDefaultMessageCostUs;
-    env.fn = [name](ActorBase& a) { a.ReceiveReminder(name); };
+    env.wire = self->reminder_wire_;
+    env.wire_encode_args = [name] {
+      BufWriter w;
+      WireEncodeTuple(&w, std::make_tuple(name));
+      return w.Release();
+    };
     self->Send(std::move(env));
     if (auto next = weak_fire.lock()) {
       exec->PostAfter(period_us, [next] { (*next)(); });

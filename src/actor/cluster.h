@@ -35,47 +35,6 @@ class MembershipService;
 class StateStorage;
 struct WireMethodEntry;
 
-/// Snapshot of the cluster's invocation-lane counters. Request/reply byte
-/// totals are measured encoded frame sizes, not estimates — the same
-/// numbers the network model charges transfer time for.
-struct WireStats {
-  int64_t local_closure_sends = 0;  ///< Same-silo sends (zero-copy lane).
-  int64_t wire_requests = 0;        ///< Remote sends on the wire lane.
-  int64_t wire_request_bytes = 0;
-  int64_t wire_replies = 0;
-  int64_t wire_reply_bytes = 0;
-  /// Remote sends of methods without a wire registration that used the
-  /// closure lane (zero when all remotely invoked methods are registered).
-  int64_t closure_fallbacks = 0;
-  /// Received wire frames rejected before dispatch (corruption, unknown
-  /// method).
-  int64_t decode_failures = 0;
-};
-
-/// Cluster-level robustness counters (monotonic), reported alongside
-/// WireStats. These count membership/deadline/failover events, not lane
-/// traffic.
-struct ClusterCounters {
-  /// Envelopes dropped on a silo eviction with nobody to notify (tells in
-  /// the dead silo's mailboxes or wedge backlog, tells routed to it
-  /// mid-flight).
-  int64_t dead_letters = 0;
-  /// Silos declared dead by the failure detector (announced KillSilo calls
-  /// are not counted here).
-  int64_t auto_evictions = 0;
-  /// In-flight idempotent calls transparently re-submitted after their
-  /// target silo was evicted.
-  int64_t failover_resubmitted = 0;
-  /// In-flight calls completed with Unavailable on eviction
-  /// (non-idempotent, or failover attempts exhausted).
-  int64_t failover_failed = 0;
-  /// Deadline enforcement events: watchdog completions plus expired
-  /// envelopes dropped before dispatch (one call can contribute to both).
-  int64_t deadline_timeouts = 0;
-  /// Sends rejected because no live silo existed to place the target on.
-  int64_t no_live_silo_rejects = 0;
-};
-
 /// A running actor-oriented database cluster.
 ///
 /// Construction wires together externally owned executors (one per silo plus
@@ -133,13 +92,11 @@ class Cluster {
   // --- Messaging ----------------------------------------------------------
 
   /// Routes a message to its target's activation, placing/activating as
-  /// needed and charging network delay for remote hops.
+  /// needed. A same-silo send runs its closure (Envelope::fn); a remote one
+  /// goes out as a wire frame, charged to the network model by its measured
+  /// size, or fails with FailedPrecondition when the method has no wire
+  /// registration.
   void Send(Envelope env);
-
-  /// Runs `fn` on the `to` node after the network delay from `from`
-  /// (response path of a call). Zero delay when from == to.
-  void SendReply(SiloId from, SiloId to, int64_t bytes,
-                 std::function<void()> fn);
 
   /// Typed client-side reference (caller is the external client node).
   /// Defined in actor/actor_ref.h.
@@ -251,8 +208,9 @@ class Cluster {
   /// Records the end-to-end queue wait of the faulting message (enqueue ->
   /// first turn dispatch), "activation.fault.queue_wait_us".
   void NoteFaultWait(Micros wait_us);
-  /// Counts envelopes dropped with nobody to notify (see
-  /// ClusterCounters::dead_letters).
+  /// Counts envelopes dropped with nobody to notify ("cluster.dead_letters":
+  /// tells in a dead silo's mailboxes or wedge backlog, tells routed to it
+  /// mid-flight).
   void NoteDeadLetters(int64_t n) {
     if (n > 0) dead_letters_->Add(n);
   }
@@ -283,12 +241,6 @@ class Cluster {
   const Factory* GetFactory(const std::string& type) const;
   size_t TotalActivations() const;
   int64_t TotalMessagesProcessed() const;
-
-  /// Current invocation-lane counters (monotonic).
-  WireStats wire_stats() const;
-
-  /// Current robustness counters (monotonic).
-  ClusterCounters cluster_counters() const;
 
   // --- Telemetry ----------------------------------------------------------
 
@@ -350,9 +302,10 @@ class Cluster {
                          Micros exec_us);
 
   /// Registry completeness check for fail-fast startup: every registered
-  /// actor type must have at least one wire-registered method. Returns
-  /// FailedPrecondition naming the uncovered types otherwise. Test fixtures
-  /// assert this at cluster start.
+  /// actor type must have at least one wire-registered method of its own
+  /// (the runtime's ActorBase::ReceiveReminder registration does not
+  /// count). Returns FailedPrecondition naming the uncovered types
+  /// otherwise. Test fixtures assert this at cluster start.
   Status CheckWireRegistry() const;
 
  private:
@@ -400,7 +353,8 @@ class Cluster {
   void DeliverWireFrame(SiloId target, SiloId caller_silo,
                         std::shared_ptr<const std::string> frame,
                         WireReplyHandler reply);
-  /// Seals and ships an encoded Result payload back to the caller node.
+  /// Seals and ships an encoded Result payload back to the caller node
+  /// (inline when the caller is this silo).
   void SendWireReply(SiloId from, SiloId to, const WireReplyHandler& reply,
                      std::string result_payload);
   /// Ships `fn` from node `from` to node `to` (from != to), to run at the
@@ -468,8 +422,9 @@ class Cluster {
   Counter* wire_request_bytes_;
   Counter* wire_replies_;
   Counter* wire_reply_bytes_;
-  Counter* closure_fallbacks_;
   Counter* wire_decode_failures_;
+  /// The runtime's registration of ActorBase::ReceiveReminder.
+  const WireMethodInfo* reminder_wire_ = nullptr;
 
   /// Per-actor-type turn-profile histograms (see RecordTurnProfile).
   struct TurnProfile {

@@ -57,9 +57,6 @@ struct Envelope {
   int failover_attempts = 0;
   /// Shed class under overload (see MessagePriority).
   MessagePriority priority = MessagePriority::kQuery;
-  /// Approximate serialized size, charged by the network model for
-  /// cross-silo sends.
-  int64_t approx_bytes = 128;
   /// Causality context of the send (invalid when the caller's request was
   /// not sampled). Propagated across the wire, retries, and failover.
   TraceContext trace;
@@ -81,8 +78,7 @@ struct Envelope {
   // happens — so local sends never pay for serialization.
 
   /// Registration of the invoked method, or nullptr if the method has no
-  /// wire registration (remote sends then fall back to the closure lane,
-  /// or fail fast under WireOptions::require_wire).
+  /// wire registration (a remote send then fails with FailedPrecondition).
   const WireMethodInfo* wire = nullptr;
   /// Lazily encodes the argument tuple (WireEncodeTuple of the decayed
   /// argument pack).

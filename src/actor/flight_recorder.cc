@@ -8,16 +8,6 @@
 
 namespace aodb {
 
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 const char* FlightEventName(FlightEventType type) {
   switch (type) {
     case FlightEventType::kActivate: return "activate";
@@ -39,39 +29,6 @@ const char* FlightEventName(FlightEventType type) {
   return "unknown";
 }
 
-// --- FlightRing --------------------------------------------------------------
-
-FlightRing::FlightRing(size_t capacity)
-    : mask_(RoundUpPow2(std::max<size_t>(capacity, 8)) - 1),
-      slots_(new Slot[mask_ + 1]) {}
-
-bool FlightRing::Push(const FlightRecord& rec) {
-  size_t i = cursor_.fetch_add(1, std::memory_order_relaxed) & mask_;
-  Slot& slot = slots_[i];
-  bool expected = false;
-  if (!slot.busy.compare_exchange_strong(expected, true,
-                                         std::memory_order_acquire)) {
-    return false;  // Another writer (or a reader) holds the slot: drop.
-  }
-  slot.rec = rec;
-  slot.used = true;
-  slot.busy.store(false, std::memory_order_release);
-  return true;
-}
-
-void FlightRing::Collect(std::vector<FlightRecord>* out) const {
-  for (size_t i = 0; i <= mask_; ++i) {
-    Slot& slot = slots_[i];
-    bool expected = false;
-    if (!slot.busy.compare_exchange_strong(expected, true,
-                                           std::memory_order_acquire)) {
-      continue;  // A writer is mid-store; skip this slot.
-    }
-    if (slot.used) out->push_back(slot.rec);
-    slot.busy.store(false, std::memory_order_release);
-  }
-}
-
 // --- FlightRecorder ----------------------------------------------------------
 
 FlightRecorder::FlightRecorder(int num_silos, bool enabled, int ring_capacity,
@@ -80,18 +37,13 @@ FlightRecorder::FlightRecorder(int num_silos, bool enabled, int ring_capacity,
   if (!enabled_) return;
   rings_.reserve(static_cast<size_t>(num_silos) + 1);
   for (int i = 0; i <= num_silos; ++i) {
-    rings_.push_back(std::make_unique<FlightRing>(
+    rings_.push_back(std::make_unique<LossyRing<FlightRecord>>(
         static_cast<size_t>(std::max(ring_capacity, 8))));
   }
   if (metrics != nullptr) {
     recorded_ = metrics->GetCounter("flight.recorded");
     dropped_ = metrics->GetCounter("flight.dropped");
   }
-}
-
-size_t FlightRecorder::RingIndex(SiloId silo) const {
-  if (silo >= 0 && silo < num_silos_) return static_cast<size_t>(silo);
-  return static_cast<size_t>(num_silos_);  // Client (and unknown) ring.
 }
 
 void FlightRecorder::Record(FlightEventType type, SiloId silo,
@@ -108,7 +60,7 @@ void FlightRecorder::Record(FlightEventType type, SiloId silo,
   size_t n = std::min(actor.size(), FlightRecord::kActorBytes - 1);
   std::memcpy(rec.actor, actor.data(), n);
   rec.actor[n] = '\0';
-  if (rings_[RingIndex(silo)]->Push(rec)) {
+  if (rings_[NodeRingIndex(silo, num_silos_)]->Push(rec)) {
     if (recorded_ != nullptr) recorded_->Add();
   } else {
     if (dropped_ != nullptr) dropped_->Add();

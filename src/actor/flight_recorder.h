@@ -5,10 +5,10 @@
 // event time, actor id, silo, and the envelope's trace id, so a postmortem
 // bundle can cross-correlate flight events with sampled spans.
 //
-// Recording discipline matches SpanRing (actor/trace.h): writers claim a
-// slot with a relaxed fetch_add cursor and take a per-slot atomic try-lock;
-// a contended slot drops the event (counted). No mutex is ever taken on the
-// hot path, so the recorder stays enabled in production and under TSan.
+// Records go to the same lossy per-node rings as spans (LossyRing,
+// actor/lossy_ring.h): a contended slot drops the event (counted), and no
+// mutex is ever taken on the hot path, so the recorder stays enabled in
+// production and under TSan.
 
 #ifndef AODB_ACTOR_FLIGHT_RECORDER_H_
 #define AODB_ACTOR_FLIGHT_RECORDER_H_
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "actor/actor_id.h"
+#include "actor/lossy_ring.h"
 #include "common/clock.h"
 
 namespace aodb {
@@ -71,33 +72,6 @@ struct FlightRecord {
   char actor[kActorBytes] = {0};  ///< NUL-terminated.
 };
 
-/// Fixed-capacity lossy record sink, one per silo; same per-slot try-lock
-/// discipline as SpanRing so writers never block and dumps are safe while
-/// the runtime is hot.
-class FlightRing {
- public:
-  explicit FlightRing(size_t capacity);
-
-  /// Attempts to store the record; returns false if the slot was contended
-  /// (event dropped).
-  bool Push(const FlightRecord& rec);
-
-  /// Appends every stored record to `out` (unordered; at most `capacity`
-  /// newest records survive wrap-around).
-  void Collect(std::vector<FlightRecord>* out) const;
-
- private:
-  struct Slot {
-    std::atomic<bool> busy{false};
-    bool used = false;
-    FlightRecord rec;
-  };
-
-  const size_t mask_;
-  std::atomic<uint64_t> cursor_{0};
-  std::unique_ptr<Slot[]> slots_;
-};
-
 /// Per-cluster flight recorder: one ring per silo plus a client/runtime ring
 /// (index num_silos), a global sequence counter, and "flight.recorded" /
 /// "flight.dropped" counters. Disabled → Record is a branch and a return.
@@ -128,12 +102,10 @@ class FlightRecorder {
                                std::string* out);
 
  private:
-  size_t RingIndex(SiloId silo) const;
-
   const int num_silos_;
   const bool enabled_;
   std::atomic<uint64_t> next_seq_{1};
-  std::vector<std::unique_ptr<FlightRing>> rings_;
+  std::vector<std::unique_ptr<LossyRing<FlightRecord>>> rings_;
   Counter* recorded_ = nullptr;
   Counter* dropped_ = nullptr;
 };

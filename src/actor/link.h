@@ -1,8 +1,7 @@
 // One directed network link of a real-mode cluster: silo to silo, client to
-// silo, or back. Everything the cluster ships over a link (wire request
-// frames, closure-lane envelopes, call replies) waits here, ordered by the
-// arrival time the network model stamped on it, and runs on the RECEIVING
-// executor's workers in that order:
+// silo, or back. Everything the cluster ships over a link (wire request and
+// reply frames) waits here, ordered by the arrival time the network model
+// stamped on it, and runs on the RECEIVING executor's workers in that order:
 //
 //  * a message that is already due when it is pushed (every message, with
 //    the network model zeroed) goes to a worker at once; the executor's

@@ -51,10 +51,14 @@ Status MethodRegistry::AddEntry(const std::string& type_name,
 const WireMethodEntry* MethodRegistry::FindEntry(const std::string& type_name,
                                                  uint64_t method_id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto tit = types_.find(type_name);
-  if (tit == types_.end()) return nullptr;
-  auto mit = tit->second.find(method_id);
-  return mit == tit->second.end() ? nullptr : mit->second.get();
+  auto find = [&](const std::string& key) -> const WireMethodEntry* {
+    auto tit = types_.find(key);
+    if (tit == types_.end()) return nullptr;
+    auto mit = tit->second.find(method_id);
+    return mit == tit->second.end() ? nullptr : mit->second.get();
+  };
+  const WireMethodEntry* entry = find(type_name);
+  return entry != nullptr ? entry : find(kAllTypes);
 }
 
 size_t MethodRegistry::MethodCount(const std::string& type_name) const {

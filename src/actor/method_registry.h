@@ -231,9 +231,20 @@ class MethodRegistry {
     return Status::OK();
   }
 
+  /// Registers a method of ActorBase itself, which every actor type answers
+  /// (the runtime registers ReceiveReminder this way). FindEntry falls back
+  /// to these for any type; MethodCount does not count them, so
+  /// Cluster::CheckWireRegistry still flags a type with no methods of its
+  /// own. Idempotent.
+  template <typename R, typename... MArgs>
+  Status RegisterForAllTypes(R (ActorBase::*method)(MArgs...),
+                             const std::string& method_name) {
+    return Register(kAllTypes, method, method_name);
+  }
+
   /// Send-side lookup: the registration for a member-function pointer, or
-  /// nullptr if the method was never registered (callers fall back to the
-  /// closure lane, or fail fast under WireOptions::require_wire).
+  /// nullptr if the method was never registered (it can then only be
+  /// called on the caller's own silo).
   template <typename R, typename C, typename... MArgs>
   const WireMethodInfo* Find(R (C::*method)(MArgs...)) const {
     std::shared_lock<std::shared_mutex> lock(internal::SigTableMutex());
@@ -243,11 +254,13 @@ class MethodRegistry {
     return nullptr;
   }
 
-  /// Receive-side lookup, or nullptr.
+  /// Receive-side lookup (a type's own methods, then the ones registered
+  /// for all types), or nullptr.
   const WireMethodEntry* FindEntry(const std::string& type_name,
                                    uint64_t method_id) const;
 
-  /// Number of methods registered for a type (0 for unknown types).
+  /// Number of methods registered for a type, not counting the ones
+  /// registered for all types (0 for unknown types).
   size_t MethodCount(const std::string& type_name) const;
 
   /// Runs every registered method's codec self-check; returns the first
@@ -258,6 +271,10 @@ class MethodRegistry {
   size_t TotalMethods() const;
 
  private:
+  /// Registry key of RegisterForAllTypes entries (no actor type is named
+  /// by the empty string).
+  static constexpr char kAllTypes[] = "";
+
   Status AddEntry(const std::string& type_name,
                   std::unique_ptr<WireMethodEntry> entry,
                   const WireMethodEntry** installed);

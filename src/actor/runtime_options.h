@@ -43,10 +43,10 @@ struct NetworkOptions {
 
 /// Configuration of the wire (serialized invocation) lane.
 struct WireOptions {
-  /// When true, a cross-silo send of a method with no MethodRegistry
-  /// registration fails fast with FailedPrecondition naming the actor type,
-  /// instead of falling back to the closure lane. Test fixtures enable this
-  /// so unregistered methods are caught at their first remote use.
+  /// No effect: a cross-silo send of a method with no MethodRegistry
+  /// registration always fails with FailedPrecondition naming the actor
+  /// type. Kept only because the platform benchmark still sets it; delete
+  /// it together with that assignment.
   bool require_wire = false;
 };
 

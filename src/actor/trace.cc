@@ -7,49 +7,6 @@
 
 namespace aodb {
 
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-// --- SpanRing ----------------------------------------------------------------
-
-SpanRing::SpanRing(size_t capacity)
-    : mask_(RoundUpPow2(std::max<size_t>(capacity, 8)) - 1),
-      slots_(new Slot[mask_ + 1]) {}
-
-bool SpanRing::Push(SpanRecord rec) {
-  size_t i = cursor_.fetch_add(1, std::memory_order_relaxed) & mask_;
-  Slot& slot = slots_[i];
-  bool expected = false;
-  if (!slot.busy.compare_exchange_strong(expected, true,
-                                         std::memory_order_acquire)) {
-    return false;  // Another writer (or a reader) holds the slot: drop.
-  }
-  slot.rec = std::move(rec);
-  slot.used = true;
-  slot.busy.store(false, std::memory_order_release);
-  return true;
-}
-
-void SpanRing::Collect(std::vector<SpanRecord>* out) const {
-  for (size_t i = 0; i <= mask_; ++i) {
-    Slot& slot = slots_[i];
-    bool expected = false;
-    if (!slot.busy.compare_exchange_strong(expected, true,
-                                           std::memory_order_acquire)) {
-      continue;  // A writer is mid-store; skip this slot.
-    }
-    if (slot.used) out->push_back(slot.rec);
-    slot.busy.store(false, std::memory_order_release);
-  }
-}
-
 // --- Tracer ------------------------------------------------------------------
 
 Tracer::Tracer(int num_silos, int sample_every, int ring_capacity,
@@ -57,7 +14,7 @@ Tracer::Tracer(int num_silos, int sample_every, int ring_capacity,
     : num_silos_(num_silos), sample_every_(sample_every) {
   rings_.reserve(static_cast<size_t>(num_silos) + 1);
   for (int i = 0; i <= num_silos; ++i) {
-    rings_.push_back(std::make_unique<SpanRing>(
+    rings_.push_back(std::make_unique<LossyRing<SpanRecord>>(
         static_cast<size_t>(std::max(ring_capacity, 8))));
   }
   if (metrics != nullptr) {
@@ -79,14 +36,9 @@ TraceContext Tracer::MaybeStartTrace() {
   return ctx;
 }
 
-size_t Tracer::RingIndex(SiloId silo) const {
-  if (silo >= 0 && silo < num_silos_) return static_cast<size_t>(silo);
-  return static_cast<size_t>(num_silos_);  // Client (and unknown) ring.
-}
-
 void Tracer::Record(SpanRecord rec) {
   if (rec.trace_id == 0) return;
-  size_t idx = RingIndex(rec.silo);
+  size_t idx = NodeRingIndex(rec.silo, num_silos_);
   if (rings_[idx]->Push(std::move(rec))) {
     if (spans_recorded_ != nullptr) spans_recorded_->Add();
   } else {

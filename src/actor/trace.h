@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "actor/actor_id.h"
+#include "actor/lossy_ring.h"
 #include "common/clock.h"
 
 namespace aodb {
@@ -60,37 +61,9 @@ struct SpanRecord {
   Micros queue_wait_us = 0;
 };
 
-/// Fixed-capacity lossy span sink, one per silo. Writers claim a slot with a
-/// fetch_add cursor and take a per-slot atomic try-lock before touching the
-/// record, so concurrent writers that wrap onto the same slot never race:
-/// the loser drops its span (counted by the tracer). Readers (Collect) take
-/// the same per-slot lock, so a dump is safe while the runtime is hot.
-class SpanRing {
- public:
-  explicit SpanRing(size_t capacity);
-
-  /// Attempts to store the span; returns false if the slot was contended
-  /// (span dropped).
-  bool Push(SpanRecord rec);
-
-  /// Appends every stored span to `out` (unordered; at most `capacity`
-  /// newest spans survive wrap-around).
-  void Collect(std::vector<SpanRecord>* out) const;
-
- private:
-  struct Slot {
-    std::atomic<bool> busy{false};
-    bool used = false;
-    SpanRecord rec;
-  };
-
-  const size_t mask_;
-  std::atomic<uint64_t> cursor_{0};
-  std::unique_ptr<Slot[]> slots_;
-};
-
 /// Per-cluster trace collector: id allocation, sampling decisions, and the
-/// per-silo span rings (index num_silos holds client-side spans).
+/// per-silo span rings (LossyRing; index num_silos holds client-side
+/// spans).
 class Tracer {
  public:
   /// `sample_every` <= 0 disables tracing (no roots are ever started);
@@ -126,14 +99,12 @@ class Tracer {
   std::string DumpJson() const;
 
  private:
-  size_t RingIndex(SiloId silo) const;
-
   const int num_silos_;
   const int sample_every_;
   std::atomic<uint64_t> root_draw_{0};
   std::atomic<uint64_t> next_trace_{1};
   std::atomic<uint64_t> next_span_{1};
-  std::vector<std::unique_ptr<SpanRing>> rings_;
+  std::vector<std::unique_ptr<LossyRing<SpanRecord>>> rings_;
   class Counter* spans_recorded_ = nullptr;
   class Counter* spans_dropped_ = nullptr;
   class Counter* traces_started_ = nullptr;

@@ -38,8 +38,8 @@ struct WireRequest {
   std::string args;  ///< WireEncodeTuple of the decayed argument pack.
 };
 
-/// Encodes and seals a request frame. The frame's size is the measured
-/// `Envelope.approx_bytes` charged by the network model.
+/// Encodes and seals a request frame. The frame's size is the byte count
+/// the network model charges for the hop.
 std::string WireEncodeRequest(const WireRequest& req);
 
 /// Verifies the seal and decodes the header + args. Corrupted or truncated

@@ -1,8 +1,8 @@
 // Wire-method registration for the aodb core actors (registry, index) and
 // for the TransactionalActor protocol messages. Platforms call these from
-// their RegisterTypes so that cross-silo transaction traffic — prepare /
-// commit / abort votes and single-actor ops — travels the serialized wire
-// lane instead of the closure fallback.
+// their RegisterTypes: cross-silo transaction traffic — prepare / commit /
+// abort votes and single-actor ops — travels the serialized wire lane, and
+// a remote call of an unregistered method fails.
 
 #ifndef AODB_AODB_WIRE_H_
 #define AODB_AODB_WIRE_H_

@@ -142,7 +142,6 @@ Future<Status> DistributorActor::TransferCutsToRetailer(
   }
   CallOptions opts;
   opts.cost_us = kCostTransfer;
-  opts.request_bytes = static_cast<int64_t>(copies.size()) * 256;
   opts.priority = MessagePriority::kControl;
   return ctx().Ref<RetailerActor>(retailer_key)
       .CallWith(opts, &RetailerActor::ReceiveCuts, std::move(copies));

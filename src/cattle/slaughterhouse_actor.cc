@@ -104,7 +104,6 @@ Future<Status> SlaughterhouseActor::TransferCutsTo(
   CallOptions opts;
   opts.cost_us = kCostTransfer;
   // Object copies travel in the message (the §4.3 copying overhead).
-  opts.request_bytes = static_cast<int64_t>(copies.size()) * 256;
   opts.priority = MessagePriority::kControl;
   return ctx().Ref<DistributorActor>(distributor_key)
       .CallWith(opts, &DistributorActor::ReceiveCuts, std::move(copies));

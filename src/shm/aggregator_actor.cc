@@ -28,7 +28,6 @@ void AggregatorActor::CloseWindowsBefore(int64_t window_idx) {
   if (closed.empty()) return;
   CallOptions opts;
   opts.cost_us = kCostAggUpdate;
-  opts.request_bytes = static_cast<int64_t>(closed.size()) * kBytesPerPoint;
   opts.priority = MessagePriority::kControl;
   ctx()
       .Ref<AggregatorActor>(parent_key_)

@@ -199,11 +199,9 @@ Status PhysicalChannelActor::Append(std::vector<DataPoint> points) {
       }
     }
   }
-  int64_t batch_bytes = static_cast<int64_t>(points.size()) * kBytesPerPoint;
   if (!cfg.aggregator_key.empty()) {
     CallOptions opts;
     opts.cost_us = kCostAggUpdate;
-    opts.request_bytes = batch_bytes;
     // Interior fan-out of admitted data (see SensorActor): never shed.
     opts.priority = MessagePriority::kControl;
     ctx().Ref<AggregatorActor>(cfg.aggregator_key)
@@ -212,7 +210,6 @@ Status PhysicalChannelActor::Append(std::vector<DataPoint> points) {
   if (!cfg.virtual_key.empty()) {
     CallOptions opts;
     opts.cost_us = kCostVirtualCompute;
-    opts.request_bytes = batch_bytes;
     opts.priority = MessagePriority::kControl;
     ctx().Ref<VirtualChannelActor>(cfg.virtual_key)
         .TellWith(opts, &VirtualChannelActor::SourceUpdate, ctx().self().key,
@@ -296,8 +293,6 @@ Status VirtualChannelActor::SourceUpdate(std::string source_key,
   if (!st.config.aggregator_key.empty() && !derived.empty()) {
     CallOptions opts;
     opts.cost_us = kCostAggUpdate;
-    opts.request_bytes =
-        static_cast<int64_t>(derived.size()) * kBytesPerPoint;
     opts.priority = MessagePriority::kControl;
     ctx().Ref<AggregatorActor>(st.config.aggregator_key)
         .TellWith(opts, &AggregatorActor::Update, std::move(derived));

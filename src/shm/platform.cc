@@ -225,7 +225,6 @@ Future<Status> ShmPlatform::Insert(const ShmTopology& t, int sensor,
                                    std::vector<DataPoint> points) {
   CallOptions opts;
   opts.cost_us = kCostSensorInsert;
-  opts.request_bytes = static_cast<int64_t>(points.size()) * kBytesPerPoint;
   // Sensor ingest is the first traffic shed when a silo saturates; the
   // retry policy backs off on the resulting Overloaded and re-sends.
   opts.priority = MessagePriority::kTelemetry;
@@ -255,9 +254,6 @@ Future<std::vector<LiveDataEntry>> ShmPlatform::LiveData(const ShmTopology& t,
   CallOptions opts;
   opts.cost_us = kCostOrgLiveFanout;
   opts.priority = MessagePriority::kQuery;
-  // Response carries one entry per channel of the organization.
-  opts.response_bytes =
-      static_cast<int64_t>(t.sensors_per_org) * t.channels_per_sensor * 24;
   Cluster* cluster = cluster_;
   Principal tenant = TenantOf(t, org, true);
   std::string key = OrgKey(org);
@@ -276,7 +272,6 @@ Future<RangeReply> ShmPlatform::RawRange(const ShmTopology& t, int sensor,
                                          int channel, Micros from, Micros to) {
   CallOptions opts;
   opts.cost_us = kCostChannelRange;
-  opts.response_bytes = 100 * kBytesPerPoint;
   opts.priority = MessagePriority::kQuery;
   Cluster* cluster = cluster_;
   Principal tenant = TenantOf(t, sensor, false);

@@ -95,7 +95,6 @@ Future<Status> SensorActor::InsertImpl(std::vector<DataPoint> points,
                                  points.begin() + end);
     CallOptions opts;
     opts.cost_us = kCostChannelAppend;
-    opts.request_bytes = static_cast<int64_t>(batch.size()) * kBytesPerPoint;
     // Interior pipeline hop of already-admitted data: never shed — data
     // accepted at the edge must reach its channels, or the sensor's ack
     // would lie. Shedding happens at the sensor-insert edge only.

@@ -149,7 +149,8 @@ constexpr Micros kCostChannelRange = 200;
 constexpr Micros kCostOrgLiveFanout = 50;
 constexpr Micros kCostConfigure = 50;
 
-/// Approximate wire size of a data point on the network.
+/// User payload of one data point: an 8-byte timestamp and an 8-byte value
+/// (the denominator of bench/platform's storage.write_amp).
 constexpr int64_t kBytesPerPoint = 16;
 
 }  // namespace shm

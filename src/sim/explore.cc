@@ -136,7 +136,6 @@ RuntimeOptions MakeRuntimeOptions(const FaultPlan& plan,
   o.workers_per_silo = 2;
   o.seed = plan.seed;
   o.default_call_deadline_us = kMicrosPerSecond;
-  o.wire.require_wire = true;
   o.membership.enable = true;
   o.membership.lease_duration_us = kMicrosPerSecond;
   o.membership.heartbeat_period_us = 200 * kMicrosPerMilli;
@@ -460,16 +459,14 @@ RunResult RunScenario(const FaultPlan& plan, const ExploreConfig& config) {
     HashI64(&h, injector.link_severs());
     HashI64(&h, injector.silo_kills());
     HashI64(&h, injector.silo_restarts());
-    ClusterCounters cc = cluster.cluster_counters();
-    HashI64(&h, cc.dead_letters);
-    HashI64(&h, cc.auto_evictions);
-    HashI64(&h, cc.failover_resubmitted);
-    HashI64(&h, cc.failover_failed);
-    HashI64(&h, cc.deadline_timeouts);
-    HashI64(&h, cc.no_live_silo_rejects);
-    WireStats ws = cluster.wire_stats();
-    HashI64(&h, ws.wire_requests);
-    HashI64(&h, ws.decode_failures);
+    const MetricsSnapshot snap = cluster.SnapshotMetrics();
+    for (const char* name :
+         {"cluster.dead_letters", "cluster.auto_evictions",
+          "cluster.failover_resubmitted", "cluster.failover_failed",
+          "cluster.deadline_timeouts", "cluster.no_live_silo_rejects",
+          "wire.requests", "wire.decode_failures"}) {
+      HashI64(&h, snap.counters.at(name));
+    }
     HashI64(&h, cluster.TotalMessagesProcessed());
     HashI64(&h, out.checks_run);
 

@@ -11,6 +11,7 @@
 #include "actor/runtime.h"
 #include "sim/sim_harness.h"
 #include "storage/mem_kv.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -83,9 +84,26 @@ class RelayActor : public ActorBase {
   }
 };
 
+/// The methods the tests call from the client or from another silo.
+void RegisterTestWireMethods() {
+  RegisterWire<CounterActor>(&CounterActor::Add, "Add", &CounterActor::Value,
+                             "Value", &CounterActor::Bump, "Bump",
+                             &CounterActor::Key, "Key", &CounterActor::SiloOf,
+                             "SiloOf");
+  RegisterWire<EchoActor>(&EchoActor::Ok, "Ok", &EchoActor::Fail, "Fail",
+                          &EchoActor::Concat, "Concat");
+  RegisterWire<GhostActor>(&GhostActor::Zero, "Zero");
+  RegisterWire<TickActor>(&TickActor::Start, "Start", &TickActor::Ticks,
+                          "Ticks");
+  RegisterWire<RemindedActor>(&RemindedActor::Arm, "Arm",
+                              &RemindedActor::Count, "Count");
+  RegisterWire<RelayActor>(&RelayActor::AddViaCounter, "AddViaCounter");
+}
+
 class RealClusterTest : public ::testing::Test {
  protected:
   RealClusterTest() : handle_(MakeOptions()) {
+    RegisterTestWireMethods();
     handle_->RegisterActorType<CounterActor>();
     handle_->RegisterActorType<EchoActor>();
     handle_->RegisterActorType<RelayActor>();
@@ -214,6 +232,7 @@ TEST_F(RealClusterTest, PlacementSpreadsActorsAcrossSilos) {
 class SimClusterTest : public ::testing::Test {
  protected:
   SimClusterTest() : harness_(MakeOptions()) {
+    RegisterTestWireMethods();
     harness_.cluster().RegisterActorType<CounterActor>();
     harness_.cluster().RegisterActorType<EchoActor>();
     harness_.cluster().RegisterActorType<RelayActor>();

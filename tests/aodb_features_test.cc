@@ -8,8 +8,10 @@
 #include "aodb/query.h"
 #include "aodb/registry.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "aodb/workflow.h"
 #include "sim/sim_harness.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -86,6 +88,14 @@ class ItemActor : public ActorBase {
 class AodbFeaturesTest : public ::testing::Test {
  protected:
   AodbFeaturesTest() : harness_(MakeOptions()) {
+    EXPECT_TRUE(RegisterAodbCoreWireMethods().ok());
+    EXPECT_TRUE(
+        RegisterTransactionalWireMethods(AccountActor::kTypeName).ok());
+    RegisterWire<AccountActor>(&AccountActor::Deposit, "Deposit",
+                               &AccountActor::Balance, "Balance");
+    RegisterWire<ItemActor>(&ItemActor::Init, "Init", &ItemActor::Retag,
+                            "Retag", &ItemActor::Value, "Value",
+                            &ItemActor::Tag, "Tag");
     harness_.cluster().RegisterActorType<AccountActor>();
     harness_.cluster().RegisterActorType<ItemActor>();
     harness_.cluster().RegisterActorType<RegistryActor>();

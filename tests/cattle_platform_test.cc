@@ -17,7 +17,7 @@ class CattleSimTest : public ::testing::Test {
   CattleSimTest() : harness_(MakeOptions()), platform_(&harness_.cluster()) {
     CattlePlatform::RegisterTypes(harness_.cluster());
     // Startup assertion: every registered type must have wire methods, so
-    // strict mode cannot hit an unregistered cross-silo call mid-test.
+    // no test hits an unregistered cross-silo call mid-run.
     Status wires = harness_.cluster().CheckWireRegistry();
     EXPECT_TRUE(wires.ok()) << wires.ToString();
   }
@@ -26,7 +26,6 @@ class CattleSimTest : public ::testing::Test {
     RuntimeOptions o;
     o.num_silos = 3;
     o.workers_per_silo = 2;
-    o.wire.require_wire = true;
     return o;
   }
 

@@ -23,6 +23,7 @@
 #include "storage/faulty_storage.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -147,11 +148,21 @@ class VolatileCounter : public ActorBase {
   int64_t value_ = 0;
 };
 
+/// The counter methods the tests call from the client node.
+void RegisterCounterWire() {
+  RegisterWire<DurableCounter>(&DurableCounter::Add, "Add",
+                               &DurableCounter::Value, "Value",
+                               &DurableCounter::Retries, "Retries");
+  RegisterWire<VolatileCounter>(&VolatileCounter::Add, "Add",
+                                &VolatileCounter::Value, "Value");
+}
+
 // --- Silo kill / restart -----------------------------------------------------
 
 class SiloCrashTest : public ::testing::Test {
  protected:
   explicit SiloCrashTest(int num_silos = 2) : harness_(MakeOptions(num_silos)) {
+    RegisterCounterWire();
     harness_.cluster().RegisterActorType<DurableCounter>();
     harness_.cluster().RegisterActorType<VolatileCounter>();
     backing_ = std::make_shared<MemKvStore>();
@@ -202,6 +213,7 @@ TEST_F(SiloCrashTest, KilledSiloFailsCallsAndStateSurvivesReactivation) {
 
 TEST_F(SiloCrashTest, CallToDeadSingleSiloFailsUnavailableUntilRestart) {
   SimHarness solo(MakeOptions(1));
+  RegisterCounterWire();
   solo.cluster().RegisterActorType<DurableCounter>();
   MemKvStore backing;
   auto storage = std::make_shared<KvStateStorage>(&backing);
@@ -248,6 +260,7 @@ TEST_F(SiloCrashTest, InFlightMessagesToKilledSiloFailUnavailable) {
 
 TEST_F(SiloCrashTest, RetryAsyncHealsACrashRestartWindow) {
   SimHarness solo(MakeOptions(1));
+  RegisterCounterWire();
   solo.cluster().RegisterActorType<VolatileCounter>();
   auto c = solo.cluster().Ref<VolatileCounter>("v");
   auto warm = c.Call(&VolatileCounter::Add, int64_t{1});
@@ -283,6 +296,7 @@ TEST(MessageFaultTest, DroppedMessagesFailSenderWithUnavailable) {
   RuntimeOptions o;
   o.num_silos = 1;
   SimHarness harness(o);
+  RegisterCounterWire();
   harness.cluster().RegisterActorType<VolatileCounter>();
   FaultPlan plan;
   plan.message.drop_prob = 1.0;
@@ -300,6 +314,7 @@ TEST(MessageFaultTest, DuplicatedDeliveryExecutesNonIdempotentOpTwice) {
   RuntimeOptions o;
   o.num_silos = 1;
   SimHarness harness(o);
+  RegisterCounterWire();
   harness.cluster().RegisterActorType<VolatileCounter>();
   FaultPlan plan;
   plan.message.duplicate_prob = 1.0;
@@ -324,6 +339,7 @@ TEST(StorageFaultTest, PersistenceRetriesHealTransientStorageErrors) {
   RuntimeOptions o;
   o.num_silos = 1;
   SimHarness harness(o);
+  RegisterCounterWire();
   harness.cluster().RegisterActorType<DurableCounter>();
   FaultPlan plan;
   plan.seed = 11;
@@ -555,6 +571,7 @@ TEST(PromiseLeakGaugeTest, StopPublishesLeaksObservedDuringClusterLifetime) {
 
 TEST(PromiseLeakGaugeTest, CleanShutdownReportsZeroLeaks) {
   SimHarness harness{RuntimeOptions{}};
+  RegisterCounterWire();
   harness.cluster().RegisterActorType<VolatileCounter>();
   auto a = harness.cluster().Ref<VolatileCounter>("c");
   auto f = a.Call(&VolatileCounter::Add, int64_t{1});

@@ -98,6 +98,11 @@ void RegisterWireMethods() {
     AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
         MbrCounter::kTypeName, &MbrCounter::Value, "MbrCounter.Value",
         /*idempotent=*/true));
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
+        DeadlineEcho::kTypeName, &DeadlineEcho::Echo, "DeadlineEcho.Echo"));
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
+        DeadlineRelay::kTypeName, &DeadlineRelay::AskEcho,
+        "DeadlineRelay.AskEcho"));
     return MethodRegistry::Global().Register(
         MbrCounter::kTypeName, &MbrCounter::ReminderFires,
         "MbrCounter.ReminderFires", /*idempotent=*/true);
@@ -214,7 +219,9 @@ TEST_F(MembershipTest, AllSilosDeadFailsNewPlacementUnavailable) {
   ASSERT_TRUE(f.Ready());
   EXPECT_TRUE(f.Get().status().IsUnavailable())
       << f.Get().status().ToString();
-  EXPECT_GE(dead.cluster().cluster_counters().no_live_silo_rejects, 1);
+  EXPECT_GE(dead.cluster().SnapshotMetrics().counters.at(
+                "cluster.no_live_silo_rejects"),
+            1);
 }
 
 // --- In-flight call failover -------------------------------------------------
@@ -224,7 +231,7 @@ TEST_F(MembershipTest, IdempotentCallFailsOverAcrossEviction) {
   // Pick a counter on a condemned silo so its pending call must fail over.
   SiloId victim = HostOf("c0");
   int idx = 0;
-  auto pre = harness_.cluster().cluster_counters();
+  auto pre = harness_.cluster().SnapshotMetrics().counters;
   // The read is in flight (tracked as pending) when the silo is evicted.
   auto read = refs[idx].Call(&MbrCounter::Value);
   harness_.cluster().EvictSilo(victim, "test");
@@ -232,22 +239,28 @@ TEST_F(MembershipTest, IdempotentCallFailsOverAcrossEviction) {
   ASSERT_TRUE(v.ok()) << v.status().ToString()
                       << " (idempotent reads must be re-submitted)";
   EXPECT_EQ(v.value(), idx + 1) << "re-read from persisted state elsewhere";
-  auto post = harness_.cluster().cluster_counters();
-  EXPECT_GE(post.failover_resubmitted - pre.failover_resubmitted, 1);
-  EXPECT_GE(post.auto_evictions - pre.auto_evictions, 1);
+  auto post = harness_.cluster().SnapshotMetrics().counters;
+  EXPECT_GE(post.at("cluster.failover_resubmitted") -
+                pre.at("cluster.failover_resubmitted"),
+            1);
+  EXPECT_GE(
+      post.at("cluster.auto_evictions") - pre.at("cluster.auto_evictions"),
+      1);
 }
 
 TEST_F(MembershipTest, NonIdempotentCallFailsUnavailableOnEviction) {
   auto refs = SeedCounters(6);
   SiloId victim = HostOf("c1");
-  auto pre = harness_.cluster().cluster_counters();
+  auto pre = harness_.cluster().SnapshotMetrics().counters;
   auto add = refs[1].Call(&MbrCounter::Add, int64_t{100});
   harness_.cluster().EvictSilo(victim, "test");
   auto v = Settle(add);
   ASSERT_FALSE(v.ok());
   EXPECT_TRUE(v.status().IsUnavailable()) << v.status().ToString();
-  auto post = harness_.cluster().cluster_counters();
-  EXPECT_GE(post.failover_failed - pre.failover_failed, 1);
+  auto post = harness_.cluster().SnapshotMetrics().counters;
+  EXPECT_GE(
+      post.at("cluster.failover_failed") - pre.at("cluster.failover_failed"),
+      1);
   // The add did NOT run twice nor once-after-failure: the counter still
   // reads its seed value from persisted state on a live silo.
   auto value = Settle(refs[1].Call(&MbrCounter::Value));
@@ -257,10 +270,10 @@ TEST_F(MembershipTest, NonIdempotentCallFailsUnavailableOnEviction) {
 
 TEST_F(MembershipTest, AnnouncedKillIsNotCountedAsAutoEviction) {
   SeedCounters(3);
-  auto pre = harness_.cluster().cluster_counters();
+  auto pre = harness_.cluster().SnapshotMetrics().counters;
   harness_.cluster().KillSilo(2);
-  auto post = harness_.cluster().cluster_counters();
-  EXPECT_EQ(post.auto_evictions, pre.auto_evictions)
+  auto post = harness_.cluster().SnapshotMetrics().counters;
+  EXPECT_EQ(post.at("cluster.auto_evictions"), pre.at("cluster.auto_evictions"))
       << "KillSilo is announced; only the failure detector bumps this";
 }
 
@@ -293,7 +306,9 @@ TEST_F(MembershipTest, CallAgainstWedgedSiloTimesOutAtDeadline) {
   EXPECT_TRUE(f.Get().status().IsTimeout()) << f.Get().status().ToString();
   EXPECT_LE(wedged.Now(), sent_at + 600 * kMicrosPerMilli)
       << "settled at (about) the deadline, not later";
-  EXPECT_GE(wedged.cluster().cluster_counters().deadline_timeouts, 1);
+  EXPECT_GE(wedged.cluster().SnapshotMetrics().counters.at(
+                "cluster.deadline_timeouts"),
+            1);
 }
 
 TEST_F(MembershipTest, NestedCallInheritsCallerDeadline) {
@@ -331,17 +346,19 @@ TEST_F(MembershipTest, ReminderSurvivesAutomaticEviction) {
   ASSERT_TRUE(before.ok());
   EXPECT_GT(before.value(), 0) << "reminder must fire while healthy";
 
-  auto pre = harness_.cluster().cluster_counters();
+  auto pre = harness_.cluster().SnapshotMetrics().counters;
   harness_.cluster().silo(victim)->SetWedged(true);
   ASSERT_TRUE(RunUntilTrue(
       harness_, [&] { return !harness_.cluster().SiloAlive(victim); },
       15 * kMicrosPerSecond))
       << "failure detector must evict the wedged silo";
-  auto post = harness_.cluster().cluster_counters();
-  EXPECT_GE(post.auto_evictions - pre.auto_evictions, 1);
+  auto post = harness_.cluster().SnapshotMetrics().counters;
+  EXPECT_GE(
+      post.at("cluster.auto_evictions") - pre.at("cluster.auto_evictions"),
+      1);
   // Reminder ticks swallowed by the wedge had no failure hook: they are
   // the dead letters the eviction log line counts.
-  EXPECT_GT(post.dead_letters, pre.dead_letters);
+  EXPECT_GT(post.at("cluster.dead_letters"), pre.at("cluster.dead_letters"));
 
   // The reminder schedule outlives the silo: the next tick reactivates the
   // actor on a live node from its persisted snapshot and keeps counting.
@@ -560,12 +577,12 @@ WedgeOutcome RunWedgeConvergence() {
     EXPECT_EQ(out.final_values.back(), i + 1) << "acked write lost: w" << i;
   }
 
-  auto counters = cluster.cluster_counters();
-  out.auto_evictions = counters.auto_evictions;
-  out.dead_letters = counters.dead_letters;
-  out.deadline_timeouts = counters.deadline_timeouts;
-  out.failover_resubmitted = counters.failover_resubmitted;
-  out.failover_failed = counters.failover_failed;
+  auto counters = cluster.SnapshotMetrics().counters;
+  out.auto_evictions = counters.at("cluster.auto_evictions");
+  out.dead_letters = counters.at("cluster.dead_letters");
+  out.deadline_timeouts = counters.at("cluster.deadline_timeouts");
+  out.failover_resubmitted = counters.at("cluster.failover_resubmitted");
+  out.failover_failed = counters.at("cluster.failover_failed");
   out.suspicions_filed = m->stats().suspicions_filed;
   return out;
 }
@@ -624,7 +641,8 @@ TEST(MembershipRealModeTest, WedgedSiloIsEvictedOnRealThreadPools) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(evicted) << "failure detector never evicted the wedged silo";
-  EXPECT_GE(cluster.cluster_counters().auto_evictions, 1);
+  EXPECT_GE(cluster.SnapshotMetrics().counters.at("cluster.auto_evictions"),
+            1);
   handle.Shutdown();
 }
 

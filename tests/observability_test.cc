@@ -20,6 +20,7 @@
 #include "common/retry.h"
 #include "common/telemetry.h"
 #include "sim/sim_harness.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -37,21 +38,12 @@ class ObsCounter : public ActorBase {
   int64_t value_ = 0;
 };
 
-// --- FlightRing / FlightRecorder mechanics -----------------------------------
-
-TEST(FlightRing, KeepsNewestAcrossWrap) {
-  FlightRing ring(8);
-  for (int i = 0; i < 20; ++i) {
-    FlightRecord rec;
-    rec.at_us = i;
-    rec.seq = static_cast<uint64_t>(i);
-    EXPECT_TRUE(ring.Push(rec));
-  }
-  std::vector<FlightRecord> out;
-  ring.Collect(&out);
-  ASSERT_EQ(out.size(), 8u);
-  for (const FlightRecord& r : out) EXPECT_GE(r.at_us, 12);
+void RegisterObsCounterWire() {
+  RegisterWire<ObsCounter>(&ObsCounter::Add, "Add", &ObsCounter::Value,
+                           "Value");
 }
+
+// --- FlightRecorder mechanics (its ring: telemetry_test LossyRingTest) ----
 
 TEST(FlightRecorder, DisabledRecordsNothing) {
   FlightRecorder rec(2, /*enabled=*/false, 64, nullptr);
@@ -88,6 +80,7 @@ TEST(FlightRecorder, SimClusterRecordsActivateAndDeactivate) {
   options.lifecycle.scan_interval_us = 10 * kMicrosPerMilli;
   SimHarness harness(options);
   Cluster& cluster = harness.cluster();
+  RegisterObsCounterWire();
   cluster.RegisterActorType<ObsCounter>();
   cluster.StartIdleScanner();
 
@@ -267,6 +260,7 @@ TEST(Postmortem, BundleContainsLifecycleAndSections) {
   options.workers_per_silo = 2;
   SimHarness harness(options);
   Cluster& cluster = harness.cluster();
+  RegisterObsCounterWire();
   cluster.RegisterActorType<ObsCounter>();
 
   auto f = cluster.Ref<ObsCounter>("pm").Call(&ObsCounter::Add, int64_t{1});

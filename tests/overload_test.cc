@@ -109,6 +109,8 @@ void RegisterWireMethods() {
     AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
         OvCounter::kTypeName, &OvCounter::ReminderFires,
         "OvCounter.ReminderFires", /*idempotent=*/true));
+    AODB_RETURN_NOT_OK(MethodRegistry::Global().Register(
+        OvRelay::kTypeName, &OvRelay::Flood, "OvRelay.Flood"));
     return MethodRegistry::Global().Register(
         OvCounter::kTypeName, &OvCounter::StartReminder,
         "OvCounter.StartReminder");

@@ -12,6 +12,7 @@
 #include "actor/runtime.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -34,6 +35,8 @@ class RacyCounter : public ActorBase {
 };
 
 RuntimeOptions StressOptions() {
+  RegisterWire<RacyCounter>(&RacyCounter::Add, "Add", &RacyCounter::Value,
+                            "Value");
   RuntimeOptions o;
   o.num_silos = 2;
   o.workers_per_silo = 2;
@@ -130,6 +133,8 @@ class DurableStressCounter : public PersistentActor<StressState> {
 TEST(RealModeStressTest, WindowedPersistenceUnderRealConcurrency) {
   MemKvStore backing;
   auto storage = std::make_shared<KvStateStorage>(&backing);
+  RegisterWire<DurableStressCounter>(&DurableStressCounter::Add, "Add",
+                                     &DurableStressCounter::Value, "Value");
   RealClusterHandle handle(StressOptions());
   handle->RegisterStateStorage("default", storage);
   handle->RegisterActorType<DurableStressCounter>();
@@ -173,6 +178,7 @@ TEST(RealModeStressTest, CrossSiloCallChainsUnderLoad) {
       return ctx().Ref<RacyCounter>(target).Call(&RacyCounter::Add);
     }
   };
+  RegisterWireAs("stress.Relay", &Relay::Through, "Through");
   RealClusterHandle handle(StressOptions());
   handle->RegisterActorType<RacyCounter>();
   handle->RegisterActorType(

@@ -10,6 +10,7 @@
 #include "sim/sim_harness.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -25,6 +26,11 @@ class SequenceActor : public ActorBase {
   std::vector<int64_t> seen_;
 };
 
+void RegisterSequenceWire() {
+  RegisterWire<SequenceActor>(&SequenceActor::Push, "Push",
+                              &SequenceActor::Seen, "Seen");
+}
+
 /// Property sweep: per-channel FIFO holds end to end for any jitter level.
 class OrderingUnderJitter : public ::testing::TestWithParam<Micros> {};
 
@@ -34,6 +40,7 @@ TEST_P(OrderingUnderJitter, TellsArriveInSendOrder) {
   o.workers_per_silo = 2;
   o.network.jitter_us = GetParam();
   SimHarness harness(o);
+  RegisterSequenceWire();
   harness.cluster().RegisterActorType<SequenceActor>();
   auto ref = harness.cluster().Ref<SequenceActor>("seq");
   constexpr int kMessages = 200;
@@ -80,6 +87,8 @@ TEST(RuntimeRestartTest, StateAndRemindersSurviveClusterRestart) {
   MemKvStore grain_backing;
   MemKvStore system_kv;
   auto storage = std::make_shared<KvStateStorage>(&grain_backing);
+  RegisterWire<DurableCounter>(&DurableCounter::Add, "Add",
+                               &DurableCounter::Value, "Value");
 
   RuntimeOptions o;
   o.num_silos = 2;
@@ -119,6 +128,7 @@ TEST(RuntimeLifecycleTest, MessagesRacingDeactivationAreNotLost) {
   o.lifecycle.idle_timeout_us = 500 * kMicrosPerMilli;
   o.lifecycle.scan_interval_us = 100 * kMicrosPerMilli;
   SimHarness harness(o);
+  RegisterSequenceWire();
   harness.cluster().RegisterActorType<SequenceActor>();
   harness.cluster().StartIdleScanner();
   auto ref = harness.cluster().Ref<SequenceActor>("racer");
@@ -154,6 +164,8 @@ TEST(RuntimePrincipalTest, PrincipalTravelsWithEveryMessage) {
   };
   RuntimeOptions o;
   SimHarness harness(o);
+  RegisterWireAs("edge.WhoAmI", &WhoAmI::CallerTenant, "CallerTenant",
+                 &WhoAmI::Record, "Record", &WhoAmI::Recorded, "Recorded");
   harness.cluster().RegisterActorType(
       "edge.WhoAmI", [](const ActorId&) { return std::make_unique<WhoAmI>(); });
   auto plain = harness.cluster().RefAs<WhoAmI>("edge.WhoAmI", "w");
@@ -186,6 +198,7 @@ TEST(RuntimeReminderTest, UnregisterStopsFiring) {
   MemKvStore system_kv;
   RuntimeOptions o;
   SimHarness harness(o, &system_kv);
+  RegisterWireAs("edge.Armed", &Armed::Count, "Count");
   harness.cluster().RegisterActorType(
       "edge.Armed", [](const ActorId&) { return std::make_unique<Armed>(); });
   ActorId id{"edge.Armed", "a"};
@@ -210,10 +223,52 @@ TEST(RuntimeReminderTest, UnregisterStopsFiring) {
   EXPECT_TRUE(listed.value().empty()) << "durable record removed";
 }
 
+TEST(RuntimeReminderTest, TicksReachTheSiloAsWireTells) {
+  // Reminder ticks start on the client node, so on any cluster they cross a
+  // node boundary: each one is a wire tell of the runtime's
+  // ActorBase::ReceiveReminder registration, which every type answers.
+  class Ticked : public ActorBase {
+   public:
+    void ReceiveReminder(const std::string&) override { ++count_; }
+    int Count() { return count_; }
+
+   private:
+    int count_ = 0;
+  };
+  RuntimeOptions o;
+  o.num_silos = 2;
+  SimHarness harness(o);
+  Cluster& cluster = harness.cluster();
+  cluster.RegisterActorType(
+      "edge.Ticked", [](const ActorId&) { return std::make_unique<Ticked>(); });
+  // The runtime's reminder method is not one of the type's own methods.
+  Status wires = cluster.CheckWireRegistry();
+  ASSERT_FALSE(wires.ok());
+  EXPECT_NE(wires.ToString().find("edge.Ticked"), std::string::npos)
+      << wires.ToString();
+  RegisterWireAs("edge.Ticked", &Ticked::Count, "Count");
+  EXPECT_TRUE(cluster.CheckWireRegistry().ok());
+
+  const int64_t before = cluster.SnapshotMetrics().counters.at("wire.requests");
+  ASSERT_TRUE(
+      cluster.RegisterReminder({"edge.Ticked", "t"}, "r", 200 * kMicrosPerMilli)
+          .ok());
+  harness.RunFor(kMicrosPerSecond + 50 * kMicrosPerMilli);
+  const int64_t ticks =
+      cluster.SnapshotMetrics().counters.at("wire.requests") - before;
+  EXPECT_EQ(ticks, 5) << "one wire frame per 200 ms tick over 1.05 s";
+  auto count = cluster.RefAs<Ticked>("edge.Ticked", "t").Call(&Ticked::Count);
+  harness.RunFor(kMicrosPerSecond);
+  ASSERT_TRUE(count.Ready());
+  ASSERT_TRUE(count.Get().ok()) << count.Get().status().ToString();
+  EXPECT_EQ(count.Get().value(), ticks) << "every tick frame was delivered";
+}
+
 TEST(RuntimeStatsTest, SiloCountersTrackActivity) {
   RuntimeOptions o;
   o.num_silos = 1;
   SimHarness harness(o);
+  RegisterSequenceWire();
   harness.cluster().RegisterActorType<SequenceActor>();
   for (int a = 0; a < 5; ++a) {
     auto ref =
@@ -237,6 +292,7 @@ TEST(RuntimeErrorTest, FutureReturningMethodErrorPropagatesToCaller) {
   };
   RuntimeOptions o;
   SimHarness harness(o);
+  RegisterWireAs("edge.Failing", &Failing::Doomed, "Doomed");
   harness.cluster().RegisterActorType(
       "edge.Failing",
       [](const ActorId&) { return std::make_unique<Failing>(); });

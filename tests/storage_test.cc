@@ -15,6 +15,7 @@
 #include "storage/file_kv.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -364,6 +365,12 @@ class DeactivateCounter
 class PersistencePolicyTest : public ::testing::Test {
  protected:
   PersistencePolicyTest() : harness_(RuntimeOptions{}) {
+    RegisterWire<EveryUpdateCounter>(&EveryUpdateCounter::Add, "Add",
+                                     &EveryUpdateCounter::Value, "Value");
+    RegisterWire<WindowedCounter>(&WindowedCounter::Add, "Add",
+                                  &WindowedCounter::Value, "Value");
+    RegisterWire<DeactivateCounter>(&DeactivateCounter::Add, "Add",
+                                    &DeactivateCounter::Value, "Value");
     harness_.cluster().RegisterActorType<EveryUpdateCounter>();
     harness_.cluster().RegisterActorType<WindowedCounter>();
     harness_.cluster().RegisterActorType<DeactivateCounter>();

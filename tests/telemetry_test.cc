@@ -14,15 +14,19 @@
 #include <gtest/gtest.h>
 
 #include "actor/actor_ref.h"
+#include "actor/flight_recorder.h"
+#include "actor/lossy_ring.h"
 #include "actor/retry_async.h"
 #include "actor/runtime.h"
 #include "actor/trace.h"
 #include "actor/wire_format.h"
 #include "aodb/txn.h"
+#include "aodb/wire.h"
 #include "aodb/workflow.h"
 #include "common/telemetry.h"
 #include "shm/platform.h"
 #include "sim/sim_harness.h"
+#include "wire_methods.h"
 
 namespace aodb {
 namespace {
@@ -189,6 +193,11 @@ class HopActor : public ActorBase {
   }
 };
 
+void RegisterPingWire() {
+  RegisterWire<PingActor>(&PingActor::Echo, "Echo");
+  RegisterWire<HopActor>(&HopActor::Forward, "Forward");
+}
+
 RuntimeOptions TracedOptions(int silos, int sample_every = 1) {
   RuntimeOptions o;
   o.num_silos = silos;
@@ -207,6 +216,7 @@ std::map<uint64_t, SpanRecord> ById(const std::vector<SpanRecord>& spans) {
 
 TEST(TracePropagationTest, SameSiloCallChainIsParentLinked) {
   SimHarness harness(TracedOptions(1));
+  RegisterPingWire();
   harness.cluster().RegisterActorType<PingActor>();
   harness.cluster().RegisterActorType<HopActor>();
 
@@ -251,6 +261,7 @@ TEST(TracePropagationTest, DisabledTracingRecordsNothing) {
   RuntimeOptions o;
   o.num_silos = 1;  // trace.sample_every defaults to 0 (off).
   SimHarness harness(o);
+  RegisterPingWire();
   harness.cluster().RegisterActorType<PingActor>();
   auto f = harness.cluster().Ref<PingActor>("p").Call(&PingActor::Echo,
                                                       int64_t{1});
@@ -262,6 +273,7 @@ TEST(TracePropagationTest, DisabledTracingRecordsNothing) {
 
 TEST(TracePropagationTest, SamplingDrawIsOneInN) {
   SimHarness harness(TracedOptions(1, /*sample_every=*/4));
+  RegisterPingWire();
   harness.cluster().RegisterActorType<PingActor>();
   for (int i = 0; i < 8; ++i) {
     auto f = harness.cluster().Ref<PingActor>("p").Call(&PingActor::Echo,
@@ -282,9 +294,7 @@ TEST(TracePropagationTest, SamplingDrawIsOneInN) {
 // --- Cross-silo acceptance: SHM ingest ---------------------------------------
 
 TEST(TraceCrossSiloTest, ShmIngestTraceLinksClientSensorAndAggregator) {
-  RuntimeOptions o = TracedOptions(3);
-  o.wire.require_wire = true;
-  SimHarness harness(o);
+  SimHarness harness(TracedOptions(3));
   shm::ShmPlatform::RegisterTypes(harness.cluster());
   shm::ShmPlatform::ApplyPaperPlacement(harness.cluster());
   shm::ShmPlatform platform(&harness.cluster());
@@ -384,6 +394,8 @@ class VolatileCounter : public ActorBase {
 
 TEST(TracePropagationTest, RetryAttemptsStayOnTheOriginalTrace) {
   SimHarness harness(TracedOptions(1));
+  RegisterWire<VolatileCounter>(&VolatileCounter::Add, "Add",
+                                &VolatileCounter::Value, "Value");
   harness.cluster().RegisterActorType<VolatileCounter>();
   auto c = harness.cluster().Ref<VolatileCounter>("v");
   auto warm = c.Call(&VolatileCounter::Add, int64_t{1});
@@ -456,6 +468,9 @@ class LedgerActor : public TransactionalActor {
 
 TEST(TraceWorkflowTest, TwoStepWorkflowIsOneTraceUnderTheWorkflowSpan) {
   SimHarness harness(TracedOptions(2));
+  ASSERT_TRUE(
+      RegisterTransactionalWireMethods(LedgerActor::kTypeName).ok());
+  RegisterWire<LedgerActor>(&LedgerActor::Balance, "Balance");
   harness.cluster().RegisterActorType<LedgerActor>();
   WorkflowEngine engine(&harness.cluster());
   auto f = engine.Run({
@@ -503,6 +518,7 @@ TEST(TraceWorkflowTest, TwoStepWorkflowIsOneTraceUnderTheWorkflowSpan) {
 
 TEST(ClusterMetricsTest, RuntimeCountersLandInTheRegistry) {
   SimHarness harness(TracedOptions(2));
+  RegisterPingWire();
   harness.cluster().RegisterActorType<PingActor>();
   for (int i = 0; i < 6; ++i) {
     auto f = harness.cluster()
@@ -515,11 +531,9 @@ TEST(ClusterMetricsTest, RuntimeCountersLandInTheRegistry) {
   EXPECT_GT(snap.counters.at("trace.spans_recorded"), 0);
   EXPECT_GT(snap.gauges.at("cluster.activations"), 0);
   EXPECT_GT(snap.gauges.at("cluster.messages_processed"), 0);
-  // Some lane carried every call: same-silo closures, wire frames, or the
-  // closure fallback (these test actors are not in the method registry).
+  // Some lane carried every call: same-silo closures or wire frames.
   int64_t carried = snap.counters.at("wire.local_closure_sends") +
-                    snap.counters.at("wire.requests") +
-                    snap.counters.at("wire.closure_fallbacks");
+                    snap.counters.at("wire.requests");
   EXPECT_GE(carried, 6);
 
   // Turn profiling: per-type histograms exist and saw every turn.
@@ -535,38 +549,72 @@ TEST(ClusterMetricsTest, RuntimeCountersLandInTheRegistry) {
             std::string::npos);
 }
 
-// --- SpanRing ----------------------------------------------------------------
+// --- LossyRing ---------------------------------------------------------------
 
-TEST(SpanRingTest, KeepsNewestOnWrapAndSurvivesConcurrentPush) {
-  SpanRing ring(16);
-  for (uint64_t i = 1; i <= 40; ++i) {
+/// Stamps a ring record with a sequence number and reads it back, so one set
+/// of ring tests covers both record types the runtime buffers.
+template <typename T>
+struct RingRecord;
+
+template <>
+struct RingRecord<SpanRecord> {
+  static SpanRecord Make(uint64_t seq) {
     SpanRecord r;
     r.trace_id = 1;
-    r.span_id = i;
-    ASSERT_TRUE(ring.Push(r));
+    r.span_id = seq;
+    return r;
   }
-  std::vector<SpanRecord> out;
-  ring.Collect(&out);
-  ASSERT_EQ(out.size(), 16u);
-  for (const SpanRecord& s : out) {
-    EXPECT_GT(s.span_id, 24u) << "wrap-around keeps only the newest spans";
-  }
+  static uint64_t Seq(const SpanRecord& r) { return r.span_id; }
+};
 
-  SpanRing hot(64);
+template <>
+struct RingRecord<FlightRecord> {
+  static FlightRecord Make(uint64_t seq) {
+    FlightRecord r;
+    r.at_us = static_cast<Micros>(seq);
+    r.seq = seq;
+    return r;
+  }
+  static uint64_t Seq(const FlightRecord& r) { return r.seq; }
+};
+
+template <typename T>
+class LossyRingTest : public ::testing::Test {};
+using RingRecordTypes = ::testing::Types<SpanRecord, FlightRecord>;
+TYPED_TEST_SUITE(LossyRingTest, RingRecordTypes);
+
+TYPED_TEST(LossyRingTest, KeepsNewestOnWrap) {
+  using Rec = RingRecord<TypeParam>;
+  for (uint64_t capacity : {uint64_t{8}, uint64_t{16}}) {
+    LossyRing<TypeParam> ring(capacity);
+    const uint64_t pushes = capacity * 5 / 2;
+    for (uint64_t i = 1; i <= pushes; ++i) {
+      ASSERT_TRUE(ring.Push(Rec::Make(i)));
+    }
+    std::vector<TypeParam> out;
+    ring.Collect(&out);
+    ASSERT_EQ(out.size(), capacity);
+    for (const TypeParam& r : out) {
+      EXPECT_GT(Rec::Seq(r), pushes - capacity)
+          << "wrap-around keeps only the newest records";
+    }
+  }
+}
+
+TYPED_TEST(LossyRingTest, SurvivesConcurrentPush) {
+  using Rec = RingRecord<TypeParam>;
+  LossyRing<TypeParam> hot(64);
   std::atomic<int64_t> pushed{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
+  for (uint64_t t = 0; t < 8; ++t) {
     threads.emplace_back([&hot, &pushed, t] {
       for (uint64_t i = 0; i < 5000; ++i) {
-        SpanRecord r;
-        r.trace_id = 2;
-        r.span_id = t * 10000 + i;
-        if (hot.Push(r)) pushed.fetch_add(1);
+        if (hot.Push(Rec::Make(t * 10000 + i))) pushed.fetch_add(1);
       }
     });
   }
   for (auto& th : threads) th.join();
-  std::vector<SpanRecord> survivors;
+  std::vector<TypeParam> survivors;
   hot.Collect(&survivors);
   EXPECT_LE(survivors.size(), 64u);
   EXPECT_GT(pushed.load(), 0);
