@@ -24,12 +24,14 @@ cd "$(dirname "$0")/.."
 # invariant bug class in a few minutes, small enough for the time box.
 DST_SEEDS="${DST_SEEDS:-200}"
 
-# Sanitized leg: the tests that exercise cross-thread and fault paths.
+# Sanitized leg: the tests that exercise cross-thread and fault paths, and
+# the decoders of bytes read back from storage (shm_property_test's
+# mutated journal deltas).
 ASAN_TESTS=(
   fault_injection_test aodb_features_test storage_test
   real_mode_stress_test wire_registry_test membership_test
   telemetry_test scheduler_test overload_test observability_test
-  scale_paging_test
+  scale_paging_test shm_property_test
 )
 # TSan leg: data races in the membership agents, eviction/failover paths,
 # real-mode thread pools, the concurrent telemetry recorders, the flight

@@ -50,6 +50,7 @@ Cluster::Cluster(const RuntimeOptions& options,
   wire_replies_ = metrics_.GetCounter("wire.replies");
   wire_reply_bytes_ = metrics_.GetCounter("wire.reply_bytes");
   wire_decode_failures_ = metrics_.GetCounter("wire.decode_failures");
+  wire_unregistered_sends_ = metrics_.GetCounter("wire.unregistered_sends");
   activation_paged_out_ = metrics_.GetCounter("activation.paged_out");
   activation_faults_ = metrics_.GetCounter("activation.fault.count");
   activation_fault_load_ = metrics_.GetHistogram("activation.fault.load_us");
@@ -229,9 +230,18 @@ void Cluster::Send(Envelope env) {
   if (env.wire == nullptr || !env.wire_encode_args) {
     // A network cannot ship a closure: a remote send is a wire frame or
     // nothing, so a method without a MethodRegistry registration fails at
-    // its first cross-node use.
-    AODB_LOG(Error, "cross-silo send to %s has no wire registration",
-             env.target.ToString().c_str());
+    // its first cross-node use. A caller that keeps retrying is counted,
+    // not logged again.
+    wire_unregistered_sends_->Add();
+    bool first;
+    {
+      std::lock_guard<std::mutex> lock(unregistered_logged_mu_);
+      first = unregistered_logged_.insert(env.target.type).second;
+    }
+    if (first) {
+      AODB_LOG(Error, "cross-silo send to %s has no wire registration",
+               env.target.ToString().c_str());
+    }
     if (env.fail) {
       env.fail(Status::FailedPrecondition(
           "no wire registration for cross-silo call to actor type " +

@@ -12,6 +12,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "actor/actor.h"
@@ -423,6 +424,11 @@ class Cluster {
   Counter* wire_replies_;
   Counter* wire_reply_bytes_;
   Counter* wire_decode_failures_;
+  /// Cross-node sends refused for want of a wire registration; the first
+  /// refusal per actor type is also logged.
+  Counter* wire_unregistered_sends_;
+  std::mutex unregistered_logged_mu_;
+  std::unordered_set<std::string> unregistered_logged_;
   /// The runtime's registration of ActorBase::ReceiveReminder.
   const WireMethodInfo* reminder_wire_ = nullptr;
 

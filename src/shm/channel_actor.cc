@@ -90,6 +90,35 @@ Status ChannelState::Decode(BufReader* r) {
   return Status::OK();
 }
 
+void ChannelState::AppendPoints(const std::vector<DataPoint>& points) {
+  for (const DataPoint& p : points) {
+    if (!window.empty()) {
+      accumulated_change += std::fabs(p.value - window.back().value);
+    }
+    window.push_back(p);
+    if (static_cast<int>(window.size()) > config.window_capacity) {
+      window.pop_front();
+    }
+    ++total_points;
+  }
+}
+
+void ChannelState::EncodeDelta(const std::vector<DataPoint>& points,
+                               BufWriter* w) {
+  w->PutVector(points,
+               [](BufWriter& bw, const DataPoint& p) { p.Encode(&bw); });
+}
+
+Status ChannelState::ApplyDelta(BufReader* r) {
+  std::vector<DataPoint> points;
+  AODB_RETURN_NOT_OK(r->GetVector(&points, [](BufReader& br, DataPoint* p) {
+    return DataPoint::DecodeInto(&br, p);
+  }));
+  if (!r->AtEnd()) return Status::Corruption("trailing bytes in channel delta");
+  AppendPoints(points);
+  return Status::OK();
+}
+
 void VirtualChannelConfig::Encode(BufWriter* w) const {
   w->PutString(org_key);
   w->PutString(aggregator_key);
@@ -173,19 +202,26 @@ bool PhysicalChannelActor::CallerMayRead() const {
 }
 
 Status PhysicalChannelActor::Append(std::vector<DataPoint> points) {
-  ChannelState& st = state();
-  const ChannelConfig& cfg = st.config;
-  for (const DataPoint& p : points) {
-    if (!st.window.empty()) {
-      st.accumulated_change += std::fabs(p.value - st.window.back().value);
-    }
-    st.window.push_back(p);
-    if (static_cast<int>(st.window.size()) > cfg.window_capacity) {
-      st.window.pop_front();
-    }
-    ++st.total_points;
-    // Threshold alerts (requirement 5): one alert per crossing point.
-    if (!cfg.alert_user_key.empty()) {
+  state().AppendPoints(points);
+  Forward(std::move(points));
+  MarkDirty();
+  return Status::OK();
+}
+
+Future<Status> PhysicalChannelActor::AppendDurable(
+    std::vector<DataPoint> points) {
+  state().AppendPoints(points);
+  Future<Status> durable = AppendDeltaAsync(
+      [&points](BufWriter* w) { ChannelState::EncodeDelta(points, w); });
+  Forward(std::move(points));
+  return durable;
+}
+
+void PhysicalChannelActor::Forward(std::vector<DataPoint> points) {
+  const ChannelConfig& cfg = state().config;
+  // Threshold alerts (requirement 5): one alert per crossing point.
+  if (!cfg.alert_user_key.empty()) {
+    for (const DataPoint& p : points) {
       if (cfg.has_threshold_high && p.value > cfg.threshold_high) {
         ctx().Ref<UserActor>(cfg.alert_user_key)
             .Tell(&UserActor::Notify,
@@ -215,15 +251,6 @@ Status PhysicalChannelActor::Append(std::vector<DataPoint> points) {
         .TellWith(opts, &VirtualChannelActor::SourceUpdate, ctx().self().key,
                   std::move(points));
   }
-  MarkDirty();
-  return Status::OK();
-}
-
-Future<Status> PhysicalChannelActor::AppendDurable(
-    std::vector<DataPoint> points) {
-  Status st = Append(std::move(points));
-  if (!st.ok()) return Future<Status>::FromValue(st);
-  return WriteStateAsync();
 }
 
 LiveDataEntry PhysicalChannelActor::Latest() {

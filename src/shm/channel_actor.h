@@ -75,7 +75,8 @@ struct ChannelConfig {
   Status Decode(BufReader* r);
 };
 
-/// Durable state of a physical channel.
+/// Durable state of a physical channel. A durable append is journaled as
+/// its points (EncodeDelta), not as a rewrite of the whole window.
 struct ChannelState {
   ChannelConfig config;
   std::deque<DataPoint> window;
@@ -84,6 +85,16 @@ struct ChannelState {
 
   void Encode(BufWriter* w) const;
   Status Decode(BufReader* r);
+
+  /// Appends to the window (evicting the oldest points past capacity) and
+  /// updates the accumulated change and the total. Shared by ingestion and
+  /// journal replay.
+  void AppendPoints(const std::vector<DataPoint>& points);
+  /// The journal record of one append.
+  static void EncodeDelta(const std::vector<DataPoint>& points, BufWriter* w);
+  /// Replays an EncodeDelta record; Corruption, with the state untouched,
+  /// on anything else.
+  Status ApplyDelta(BufReader* r);
 };
 
 /// Reply of a raw time-range query; carries the access-control verdict.
@@ -127,9 +138,9 @@ class PhysicalChannelActor : public PersistentActor<ChannelState> {
   Status Append(std::vector<DataPoint> points);
 
   /// Append with a write-through acknowledgement: completes OK only after
-  /// the updated channel state is durable in the storage provider (with the
-  /// persistence retry policy applied). This is the ingestion path whose
-  /// acks survive a silo crash.
+  /// the points are durable in the storage provider (with the persistence
+  /// retry policy applied), usually as one journal record. This is the
+  /// ingestion path whose acks survive a silo crash.
   Future<Status> AppendDurable(std::vector<DataPoint> points);
 
   /// Most recent value.
@@ -147,6 +158,9 @@ class PhysicalChannelActor : public PersistentActor<ChannelState> {
 
  private:
   bool CallerMayRead() const;
+  /// Raises the threshold alerts of appended points and forwards them to
+  /// the aggregator and the virtual channel.
+  void Forward(std::vector<DataPoint> points);
 };
 
 /// Static configuration of a virtual channel.

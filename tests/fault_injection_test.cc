@@ -5,8 +5,10 @@
 // fault plan (1 of 3 silos killed mid-run, 1% message drop, 5% transient
 // storage errors) under which the SHM platform must lose no acknowledged
 // sensor write, and a rerun of the same seed must reproduce identical
-// fault/retry counters.
+// fault/retry counters. The scenario runs under two persistence policies;
+// under both, durable channel appends go through the state journal.
 
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
@@ -23,6 +25,7 @@
 #include "storage/faulty_storage.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "journal_counter.h"
 #include "wire_methods.h"
 
 namespace aodb {
@@ -393,12 +396,13 @@ struct ChaosOutcome {
   int64_t storage_spikes = 0;
   int64_t silo_kills = 0;
   int64_t silo_restarts = 0;
+  int64_t journal_records = 0;
 };
 
 constexpr int kChaosSensors = 6;
 constexpr int kChaosRounds = 36;
 
-ChaosOutcome RunChaosScenario() {
+ChaosOutcome RunChaosScenario(PersistPolicy policy) {
   RuntimeOptions options;
   options.num_silos = 3;
   options.workers_per_silo = 2;
@@ -406,10 +410,10 @@ ChaosOutcome RunChaosScenario() {
   SimHarness harness(options);
   Cluster& cluster = harness.cluster();
 
-  // Channel/sensor state persists on every update behind the fault
+  // Channel/sensor state persists under `policy` behind the fault
   // decorator; loads and writes retry under the unified policy.
   PersistenceOptions persistence;
-  persistence.policy = PersistPolicy::kOnEveryUpdate;
+  persistence.policy = policy;
   persistence.retry.max_retries = 10;
   persistence.retry.initial_backoff_us = 5 * kMicrosPerMilli;
   shm::ShmPlatform::RegisterTypes(cluster, persistence);
@@ -428,8 +432,9 @@ ChaosOutcome RunChaosScenario() {
   FaultInjector injector(plan);
 
   MemKvStore backing;
-  auto faulty = std::make_shared<FaultyStateStorage>(
-      std::make_shared<KvStateStorage>(&backing), &injector);
+  KvStateStorage kv_storage(&backing);
+  auto probe = std::make_shared<JournalProbeStorage>(&kv_storage);
+  auto faulty = std::make_shared<FaultyStateStorage>(probe, &injector);
   cluster.RegisterStateStorage("default", faulty);
 
   shm::ShmClientOptions client;
@@ -525,11 +530,14 @@ ChaosOutcome RunChaosScenario() {
   out.storage_spikes = injector.storage_spikes();
   out.silo_kills = injector.silo_kills();
   out.silo_restarts = injector.silo_restarts();
+  out.journal_records = probe->record_writes;
   return out;
 }
 
-TEST(ChaosTest, NoAckedWriteLostAndRerunIsDeterministic) {
-  ChaosOutcome first = RunChaosScenario();
+class ChaosTest : public ::testing::TestWithParam<PersistPolicy> {};
+
+TEST_P(ChaosTest, NoAckedWriteLostAndRerunIsDeterministic) {
+  ChaosOutcome first = RunChaosScenario(GetParam());
   EXPECT_EQ(first.silo_kills, 1);
   EXPECT_EQ(first.silo_restarts, 1);
   EXPECT_GT(first.acked_inserts, 0);
@@ -537,10 +545,12 @@ TEST(ChaosTest, NoAckedWriteLostAndRerunIsDeterministic) {
   EXPECT_GT(first.storage_errors, 0) << "5% storage errors must fire";
   EXPECT_GT(first.client_retries, 0)
       << "drops and the crash window must force client retries";
+  EXPECT_GT(first.journal_records, 0)
+      << "durable appends must reach storage as journal records";
 
   // Same seeds, same virtual time, same everything: the rerun reproduces
   // the exact fault and retry counters.
-  ChaosOutcome second = RunChaosScenario();
+  ChaosOutcome second = RunChaosScenario(GetParam());
   EXPECT_EQ(first.acked_inserts, second.acked_inserts);
   EXPECT_EQ(first.failed_inserts, second.failed_inserts);
   EXPECT_EQ(first.client_retries, second.client_retries);
@@ -550,7 +560,24 @@ TEST(ChaosTest, NoAckedWriteLostAndRerunIsDeterministic) {
   EXPECT_EQ(first.storage_spikes, second.storage_spikes);
   EXPECT_EQ(first.silo_kills, second.silo_kills);
   EXPECT_EQ(first.silo_restarts, second.silo_restarts);
+  EXPECT_EQ(first.journal_records, second.journal_records);
+  std::printf("chaos[%s]: %lld acked, %lld failed, %lld journal records\n",
+              GetParam() == PersistPolicy::kOnEveryUpdate ? "on_every_update"
+                                                          : "on_deactivate",
+              static_cast<long long>(first.acked_inserts),
+              static_cast<long long>(first.failed_inserts),
+              static_cast<long long>(first.journal_records));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ChaosTest,
+    ::testing::Values(PersistPolicy::kOnEveryUpdate,
+                      PersistPolicy::kOnDeactivate),
+    [](const ::testing::TestParamInfo<PersistPolicy>& info) {
+      return std::string(info.param == PersistPolicy::kOnEveryUpdate
+                             ? "OnEveryUpdate"
+                             : "OnDeactivate");
+    });
 
 // --- Promise-leak gauge at Cluster::Stop -------------------------------------
 

@@ -23,6 +23,7 @@
 #include "sim/sim_harness.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "journal_counter.h"
 
 namespace aodb {
 namespace {
@@ -164,7 +165,9 @@ struct TestCluster {
   explicit TestCluster(const RuntimeOptions& options)
       : harness(options), cluster(harness.cluster()) {
     RegisterWireMethods();
+    RegisterJournalCounterWire();
     cluster.RegisterActorType<PgCounter>();
+    cluster.RegisterActorType<JournalCounter>();
     hold = std::make_shared<HoldWriteStorage>(
         std::make_shared<KvStateStorage>(&kv));
     cluster.RegisterStateStorage("default", hold);
@@ -535,6 +538,39 @@ TEST(ScalePaging, DeactivationDrainsInFlightWrites) {
   auto v = tc.cluster.Ref<PgCounter>("w").Call(&PgCounter::Value);
   ASSERT_TRUE(RunUntilReady(tc.harness, v, 10 * kMicrosPerSecond));
   ASSERT_EQ(v.Get().value(), 1);
+
+  // A journal record on the wire holds page-out the same way: the sealed
+  // flush queues behind it, and the successor sees the record's add.
+  auto journal = tc.cluster.Ref<JournalCounter>("jw");
+  auto snapshot = journal.Call(&JournalCounter::AddDurable, int64_t{1});
+  ASSERT_TRUE(RunUntilReady(tc.harness, snapshot, 10 * kMicrosPerSecond));
+  ASSERT_TRUE(snapshot.Get().ok() && snapshot.Get().value().ok());
+  tc.hold->HoldKey(JournalRecordKey("jw", 0));
+  auto record = journal.Call(&JournalCounter::AddDurable, int64_t{2});
+  tc.harness.RunFor(100 * kMicrosPerMilli);
+  ASSERT_EQ(tc.hold->held_count(), 1u);
+
+  auto journal_entry = [&tc] {
+    return tc.cluster.directory().LookupEntry(
+        ActorId{JournalCounter::kTypeName, "jw"});
+  };
+  tc.Fill("g", 3);
+  auto je = journal_entry();
+  ASSERT_TRUE(je.has_value());
+  EXPECT_FALSE(je->paged) << "paged out with a journal record on the wire";
+  EXPECT_FALSE(record.Ready());
+
+  ASSERT_EQ(tc.hold->ReleaseAll(), 1u);
+  tc.harness.RunFor(kMicrosPerSecond);
+  ASSERT_TRUE(record.Ready());
+  EXPECT_TRUE(record.Get().ok() && record.Get().value().ok());
+  je = journal_entry();
+  ASSERT_TRUE(je.has_value());
+  EXPECT_TRUE(je->paged) << "page-out did not resume after the drain";
+
+  auto jv = journal.Call(&JournalCounter::Value);
+  ASSERT_TRUE(RunUntilReady(tc.harness, jv, 10 * kMicrosPerSecond));
+  EXPECT_EQ(jv.Get().value(), 3);
 }
 
 // --- DST sweep with paging ---------------------------------------------------

@@ -1,8 +1,9 @@
 // Storage-layer tests: in-memory KV, the persistent log-structured store
 // (durability, crash recovery, torn-write tolerance, corruption detection,
 // compaction), the simulated cloud store (latency, provisioned-capacity
-// throttling), and grain-state persistence policies.
+// throttling), grain-state persistence policies, and the state journal.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -15,6 +16,7 @@
 #include "storage/file_kv.h"
 #include "storage/mem_kv.h"
 #include "storage/persistent_actor.h"
+#include "journal_counter.h"
 #include "wire_methods.h"
 
 namespace aodb {
@@ -362,6 +364,31 @@ class DeactivateCounter
   static constexpr char kTypeName[] = "test.OnDeactivate";
 };
 
+/// What a second cluster over the same store loaded for one counter.
+struct Reloaded {
+  int64_t value = -1;
+  int64_t snapshot_reads = 0;
+  int64_t record_reads = 0;
+};
+
+/// Loads JournalCounter `key` in a fresh cluster over `storage`, as after
+/// a crash: nothing was flushed.
+Reloaded ReloadJournalCounter(StateStorage* storage, const std::string& key) {
+  SimHarness fresh(RuntimeOptions{});
+  fresh.cluster().RegisterActorType<JournalCounter>();
+  auto probe = std::make_shared<JournalProbeStorage>(storage);
+  fresh.cluster().RegisterStateStorage("default", probe);
+  auto v =
+      fresh.cluster().Ref<JournalCounter>(key).Call(&JournalCounter::Value);
+  fresh.RunFor(kMicrosPerSecond);
+  Reloaded out;
+  EXPECT_TRUE(v.Ready());
+  if (v.Ready() && v.Get().ok()) out.value = v.Get().value();
+  out.snapshot_reads = probe->snapshot_reads;
+  out.record_reads = probe->record_reads;
+  return out;
+}
+
 class PersistencePolicyTest : public ::testing::Test {
  protected:
   PersistencePolicyTest() : harness_(RuntimeOptions{}) {
@@ -371,19 +398,32 @@ class PersistencePolicyTest : public ::testing::Test {
                                   &WindowedCounter::Value, "Value");
     RegisterWire<DeactivateCounter>(&DeactivateCounter::Add, "Add",
                                     &DeactivateCounter::Value, "Value");
+    RegisterJournalCounterWire();
     harness_.cluster().RegisterActorType<EveryUpdateCounter>();
     harness_.cluster().RegisterActorType<WindowedCounter>();
     harness_.cluster().RegisterActorType<DeactivateCounter>();
+    harness_.cluster().RegisterActorType<JournalCounter>();
     backing_ = std::make_shared<MemKvStore>();
     storage_ = std::make_shared<KvStateStorage>(backing_.get());
-    harness_.cluster().RegisterStateStorage("default", storage_);
+    probe_ = std::make_shared<JournalProbeStorage>(storage_.get());
+    harness_.cluster().RegisterStateStorage("default", probe_);
   }
 
   int64_t StoredKeys() { return backing_->Count().value(); }
 
+  /// One AddDurable on counter `key`, run to completion; returns its ack.
+  Status AddDurable(const std::string& key, int64_t d) {
+    auto f = harness_.cluster().Ref<JournalCounter>(key).Call(
+        &JournalCounter::AddDurable, d);
+    harness_.RunFor(10 * kMicrosPerMilli);
+    if (!f.Ready()) return Status::Timeout("AddDurable did not complete");
+    return f.Get().ok() ? f.Get().value() : f.Get().status();
+  }
+
   SimHarness harness_;
   std::shared_ptr<MemKvStore> backing_;
   std::shared_ptr<KvStateStorage> storage_;
+  std::shared_ptr<JournalProbeStorage> probe_;
 };
 
 TEST_F(PersistencePolicyTest, OnEveryUpdateWritesEachTime) {
@@ -423,6 +463,157 @@ TEST_F(PersistencePolicyTest, OnDeactivateWritesOnlyAtDeactivation) {
   auto v = c.Call(&DeactivateCounter::Value);
   harness_.RunFor(kMicrosPerSecond);
   EXPECT_EQ(v.Get().value(), 50);
+}
+
+// --- State journal -----------------------------------------------------------
+
+TEST_F(PersistencePolicyTest, JournalRecordsFoldInOnReactivation) {
+  for (int64_t i = 1; i <= 10; ++i) ASSERT_TRUE(AddDurable("j", i).ok());
+  // A fresh grain has no snapshot for records to follow: its first durable
+  // write is a snapshot, and the other nine are records.
+  EXPECT_EQ(probe_->snapshot_writes, 1);
+  EXPECT_EQ(probe_->record_writes, 9);
+  EXPECT_EQ(StoredKeys(), 10);
+
+  // Nothing was flushed: the load folds every record into the snapshot,
+  // then reads one missing record that ends the journal.
+  Reloaded r = ReloadJournalCounter(storage_.get(), "j");
+  EXPECT_EQ(r.value, 55);
+  EXPECT_EQ(r.snapshot_reads, 1);
+  EXPECT_EQ(r.record_reads, 10);
+}
+
+TEST_F(PersistencePolicyTest, UnjournaledMarkMakesTheNextWriteASnapshot) {
+  ASSERT_TRUE(AddDurable("m", 1).ok());  // Snapshot.
+  ASSERT_TRUE(AddDurable("m", 1).ok());  // Record 0.
+  // A record carries only its own mutation, so one behind this dirty mark
+  // would lose the mark's add on a crash.
+  auto add = harness_.cluster().Ref<JournalCounter>("m").Call(
+      &JournalCounter::Add, int64_t{10});
+  harness_.RunFor(10 * kMicrosPerMilli);
+  ASSERT_TRUE(add.Ready());
+  ASSERT_TRUE(AddDurable("m", 1).ok());
+  EXPECT_EQ(probe_->snapshot_writes, 2);
+  EXPECT_EQ(probe_->record_writes, 1);
+  EXPECT_EQ(ReloadJournalCounter(storage_.get(), "m").value, 13);
+}
+
+TEST(JournalFileKvTest, ReopenedStoreRestoresEveryAckedRecord) {
+  RegisterJournalCounterWire();
+  TempDir dir;
+  int64_t acked = 0;
+  {
+    auto kv = FileKvStore::Open(dir.str());
+    ASSERT_TRUE(kv.ok());
+    auto storage = std::make_shared<KvStateStorage>(kv.value().get());
+    SimHarness harness{RuntimeOptions{}};
+    harness.cluster().RegisterActorType<JournalCounter>();
+    harness.cluster().RegisterStateStorage("default", storage);
+    auto c = harness.cluster().Ref<JournalCounter>("f");
+    for (int64_t i = 1; i <= 20; ++i) {
+      auto f = c.Call(&JournalCounter::AddDurable, i);
+      harness.RunFor(10 * kMicrosPerMilli);
+      ASSERT_TRUE(f.Ready());
+      ASSERT_TRUE(f.Get().ok() && f.Get().value().ok());
+      acked += i;
+    }
+    // The cluster goes away without deactivating anything.
+  }
+  auto kv = FileKvStore::Open(dir.str());
+  ASSERT_TRUE(kv.ok());
+  KvStateStorage storage(kv.value().get());
+  Reloaded r = ReloadJournalCounter(&storage, "f");
+  EXPECT_EQ(r.value, acked);
+  EXPECT_GT(r.record_reads, 1) << "the reload must have read the journal";
+}
+
+TEST_F(PersistencePolicyTest, FailedRecordFailsTheRecordsQueuedBehindIt) {
+  ASSERT_TRUE(AddDurable("b", 1).ok());  // Snapshot.
+  ASSERT_TRUE(AddDurable("b", 1).ok());  // Record 0.
+  ASSERT_EQ(probe_->record_writes, 1);
+
+  // Every write now stays in flight for 50 ms and then fails for good.
+  FaultPlan plan;
+  plan.storage.torn_write_prob = 1.0;
+  plan.storage.latency_spike_prob = 1.0;
+  FaultInjector injector(plan);
+  FaultyStateStorage faulty(storage_, &injector);
+  probe_->set_target(&faulty);
+  auto c = harness_.cluster().Ref<JournalCounter>("b");
+  std::vector<Future<Status>> acks;
+  for (int i = 0; i < 3; ++i) {
+    acks.push_back(c.Call(&JournalCounter::AddDurable, int64_t{1}));
+  }
+  harness_.RunFor(kMicrosPerSecond);
+  for (auto& f : acks) {
+    ASSERT_TRUE(f.Ready());
+    ASSERT_TRUE(f.Get().ok());
+    EXPECT_EQ(f.Get().value().code(), StatusCode::kIoError)
+        << f.Get().value().ToString();
+  }
+  // Records 2 and 3 queued behind record 1 and failed with it, unissued:
+  // issuing them would have left a hole where record 1 is missing.
+  EXPECT_EQ(injector.torn_writes(), 1);
+  EXPECT_EQ(probe_->record_writes, 2);
+
+  // The next durable write is a snapshot, and nothing acked is lost.
+  probe_->set_target(storage_.get());
+  int64_t snapshots = probe_->snapshot_writes;
+  ASSERT_TRUE(AddDurable("b", 1).ok());
+  EXPECT_EQ(probe_->snapshot_writes, snapshots + 1);
+  EXPECT_EQ(probe_->record_writes, 2);
+  // The snapshot also carries the three failed adds, which stayed applied
+  // in memory: the acked ones (three of six) are a subset.
+  EXPECT_EQ(ReloadJournalCounter(storage_.get(), "b").value, 6);
+}
+
+TEST_F(PersistencePolicyTest, JournalStaysBoundedOverManyAppends) {
+  // The ~262-byte snapshot bounds its journal to 262 / 8 = 32 one-byte
+  // records; superseded records are cleared once the next snapshot lands.
+  constexpr int64_t kMaxKeys = 1 + 262 / 8;
+  int64_t max_keys = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(AddDurable("n", 1).ok()) << "append " << i;
+    max_keys = std::max(max_keys, StoredKeys());
+  }
+  EXPECT_LE(max_keys, kMaxKeys);
+  EXPECT_GT(probe_->record_writes, 20 * probe_->snapshot_writes)
+      << "appends must mostly be records";
+  EXPECT_EQ(ReloadJournalCounter(storage_.get(), "n").value, 1000);
+}
+
+TEST_F(PersistencePolicyTest, SealedSnapshotLoadsWithoutJournalRead) {
+  ASSERT_TRUE(AddDurable("s", 1).ok());
+  EXPECT_EQ(probe_->snapshot_writes, 1) << "a fresh grain writes a snapshot";
+  EXPECT_EQ(probe_->record_writes, 0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(AddDurable("s", 1).ok());
+  EXPECT_EQ(probe_->record_writes, 3);
+
+  // Clean, but with records behind its snapshot: the deactivation flush
+  // seals the journal into one snapshot and clears the records.
+  auto flushed = harness_.cluster().DeactivateAll();
+  harness_.RunFor(kMicrosPerSecond);
+  ASSERT_TRUE(flushed.Get().value().ok());
+  EXPECT_EQ(probe_->snapshot_writes, 2);
+  EXPECT_EQ(StoredKeys(), 1);
+
+  int64_t reads = probe_->snapshot_reads;
+  auto v = harness_.cluster().Ref<JournalCounter>("s").Call(
+      &JournalCounter::Value);
+  harness_.RunFor(kMicrosPerSecond);
+  ASSERT_TRUE(v.Ready());
+  EXPECT_EQ(v.Get().value(), 4);
+  EXPECT_EQ(probe_->snapshot_reads, reads + 1);
+  EXPECT_EQ(probe_->record_reads, 0) << "a sealed snapshot has no journal";
+
+  // A record behind the sealed snapshot would be skipped by the next load:
+  // the successor's first durable write reopens the journal with a snapshot.
+  ASSERT_TRUE(AddDurable("s", 1).ok());
+  EXPECT_EQ(probe_->snapshot_writes, 3);
+  EXPECT_EQ(probe_->record_writes, 3);
+  ASSERT_TRUE(AddDurable("s", 1).ok());
+  EXPECT_EQ(probe_->record_writes, 4);
+  EXPECT_EQ(ReloadJournalCounter(storage_.get(), "s").value, 6);
 }
 
 // --- FaultyStateStorage: torn writes -----------------------------------------

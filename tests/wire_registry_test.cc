@@ -266,6 +266,32 @@ TEST(WireRegistrationTest, UnregisteredRemoteMethodFailsWithTypeName) {
               std::string::npos)
         << f.Get().status().ToString();
   }
+
+  // A caller that keeps sending is counted on every refusal but logged
+  // once per actor type, so one missing registration cannot flood the log.
+  SimHarness fresh(TestOptions(1));
+  fresh.cluster().RegisterActorType<UnregisteredActor>();
+  auto again = fresh.cluster().Ref<UnregisteredActor>("y");
+  testing::internal::CaptureStderr();
+  std::vector<Future<int64_t>> refused;
+  for (int i = 0; i < 50; ++i) {
+    refused.push_back(again.Call(&UnregisteredActor::Twice, int64_t{i}));
+  }
+  fresh.RunFor(kMicrosPerSecond);
+  std::string log = testing::internal::GetCapturedStderr();
+  for (auto& f : refused) {
+    ASSERT_TRUE(f.Ready());
+    EXPECT_EQ(f.Get().status().code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(
+      fresh.cluster().SnapshotMetrics().counters.at("wire.unregistered_sends"),
+      50);
+  size_t error_lines = 0;
+  for (size_t pos = log.find("[ERROR"); pos != std::string::npos;
+       pos = log.find("[ERROR", pos + 1)) {
+    ++error_lines;
+  }
+  EXPECT_EQ(error_lines, 1u) << log;
 }
 
 // --- Promise double-completion guard ----------------------------------------
