@@ -144,7 +144,7 @@ PhaseResult RunPhase(bool skewed, bool managed, Micros duration) {
   MemKvStore kv;
   cluster.RegisterStateStorage("default",
                                std::make_shared<KvStateStorage>(&kv));
-  if (managed) cluster.StartOverloadController();
+  if (managed) cluster.overload_controller().Start();
 
   // Warm up every actor sequentially so random placement is identical in
   // every phase (same seed, same activation order).

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Refactor guard rail: the virtual-time figures and the DST sweep must not
-# move. Exports a base revision with `git archive`, builds fig6-9 and the
-# DST explorer there and in the working tree (uncommitted changes
-# included), runs both sides, and compares
+# move. Exports a base revision with `git archive`, builds fig6-9, three
+# benches that run the periodic agents and the DST explorer there and in
+# the working tree (uncommitted changes included), runs both sides, and
+# compares
 #
-#   * each figure's stdout (stderr is chaos narration and is dropped), and
+#   * each bench's stdout (stderr is chaos narration and is dropped), and
 #   * the summary line of a 200-seed dst_explore sweep.
+#
+# The three extra benches cover what the figures never start: flash_crowd
+# the hot-actor controller, ablation_persistence the windowed-persistence
+# timers, chaos_recovery the membership heartbeat and probe loops.
 #
 # Exits 1 at the first differing line, printing it from both sides. fig7
 # alone takes about 4 minutes per side, which is why tier1.sh does not run
@@ -18,7 +23,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base_ref="${1:-HEAD}"
-FIGS=(fig6_single_server fig7_scaleout fig8_raw_latency fig9_live_latency)
+FIGS=(fig6_single_server fig7_scaleout fig8_raw_latency fig9_live_latency
+      flash_crowd ablation_persistence chaos_recovery)
 DST_SEEDS=200
 
 if [[ -n "${FIG_IDENTITY_DIR:-}" ]]; then
@@ -58,7 +64,7 @@ echo "fig_identity: building $base_ref and the working tree..."
 build "$work/base-src" "$work/base-build"
 build . "$work/work-build"
 
-echo "fig_identity: running fig6-9 and a $DST_SEEDS-seed DST sweep on both sides..."
+echo "fig_identity: running ${FIGS[*]} and a $DST_SEEDS-seed DST sweep on both sides..."
 run_side "$work/base-build" "$work/base-out" &
 base_pid=$!
 run_side "$work/work-build" "$work/work-out" &

@@ -16,50 +16,31 @@ Micros ActorContext::Now() const { return executor_->clock()->Now(); }
 
 void ActorContext::SetTimer(const std::string& name, Micros period_us,
                             Micros tick_cost_us) {
-  CancelTimer(name);
-  auto alive = std::make_shared<bool>(true);
-  timers_[name] = alive;
   Cluster* cluster = cluster_;
-  Executor* exec = executor_;
   ActorId self = self_;
   SiloId silo = silo_;
-  auto fire = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_fire = fire;
-  *fire = [cluster, exec, self, silo, name, period_us, tick_cost_us, alive,
-           weak_fire]() {
-    if (!*alive) return;
-    Envelope env;
-    env.target = self;
-    env.caller_silo = silo;
-    env.cost_us = tick_cost_us;
-    env.fn = [name](ActorBase& a) { a.OnTimer(name); };
-    cluster->Send(std::move(env));
-    if (auto next = weak_fire.lock()) {
-      exec->PostAfter(period_us, [next] { (*next)(); });
-    }
-  };
-  exec->PostAfter(period_us, [fire] { (*fire)(); });
+  timers_[name].Start(
+      executor_, period_us, [cluster, self, silo, name, tick_cost_us] {
+        Envelope env;
+        env.target = self;
+        env.caller_silo = silo;
+        env.cost_us = tick_cost_us;
+        env.fn = [name](ActorBase& a) { a.OnTimer(name); };
+        cluster->Send(std::move(env));
+      });
 }
 
-void ActorContext::CancelTimer(const std::string& name) {
-  auto it = timers_.find(name);
-  if (it == timers_.end()) return;
-  *it->second = false;
-  timers_.erase(it);
-}
+void ActorContext::CancelTimer(const std::string& name) { timers_.erase(name); }
 
-void ActorContext::CancelAllTimers() {
-  for (auto& [name, alive] : timers_) *alive = false;
-  timers_.clear();
-}
+void ActorContext::CancelAllTimers() { timers_.clear(); }
 
 Status ActorContext::RegisterReminder(const std::string& name,
                                       Micros period_us) {
-  return cluster_->RegisterReminder(self_, name, period_us);
+  return cluster_->reminders().Register(self_, name, period_us);
 }
 
 Status ActorContext::UnregisterReminder(const std::string& name) {
-  return cluster_->UnregisterReminder(self_, name);
+  return cluster_->reminders().Unregister(self_, name);
 }
 
 StateStorage* ActorContext::storage(const std::string& provider) const {

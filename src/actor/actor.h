@@ -17,6 +17,7 @@
 #include "actor/actor_id.h"
 #include "actor/executor.h"
 #include "actor/future.h"
+#include "actor/periodic_task.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -86,7 +87,7 @@ class ActorContext {
   Executor* executor_;
   Principal caller_;
   Rng rng_;
-  std::unordered_map<std::string, std::shared_ptr<bool>> timers_;
+  std::unordered_map<std::string, PeriodicTask> timers_;
 };
 
 /// Base class of all virtual actors.

@@ -17,6 +17,11 @@
 
 namespace aodb {
 
+namespace {
+/// Flight-record slots per silo ring; the oldest events are overwritten.
+constexpr int kFlightRingCapacity = 1024;
+}  // namespace
+
 Cluster::Cluster(const RuntimeOptions& options,
                  std::vector<Executor*> silo_executors,
                  Executor* client_executor, SystemKv* system_kv)
@@ -27,12 +32,12 @@ Cluster::Cluster(const RuntimeOptions& options,
       tracer_(options.num_silos, options.trace.sample_every,
               options.trace.ring_capacity, &metrics_),
       flight_(options.num_silos, options.observability.enable_flight_recorder,
-              options.observability.flight_ring_capacity, &metrics_),
-      timeline_(static_cast<size_t>(
-          std::max(1, options.observability.metrics_timeline_capacity))),
+              kFlightRingCapacity, &metrics_),
       directory_(options.num_silos, options.default_placement,
-                 options.seed ^ 0x5a5a5a5aULL, options.directory_shards),
-      network_(options.network, options.seed ^ 0xc3c3c3c3ULL) {
+                 options.seed ^ 0x5a5a5a5aULL),
+      network_(options.network, options.seed ^ 0xc3c3c3c3ULL),
+      reminders_(this, system_kv),
+      controller_(this) {
   assert(static_cast<int>(silo_executors_.size()) == options.num_silos);
   dead_letters_ = metrics_.GetCounter("cluster.dead_letters");
   auto_evictions_ = metrics_.GetCounter("cluster.auto_evictions");
@@ -40,10 +45,6 @@ Cluster::Cluster(const RuntimeOptions& options,
   failover_failed_ = metrics_.GetCounter("cluster.failover_failed");
   deadline_timeouts_ = metrics_.GetCounter("cluster.deadline_timeouts");
   no_live_silo_rejects_ = metrics_.GetCounter("cluster.no_live_silo_rejects");
-  overload_shed_telemetry_ = metrics_.GetCounter("overload.shed.telemetry");
-  overload_shed_query_ = metrics_.GetCounter("overload.shed.query");
-  overload_mailbox_rejects_ = metrics_.GetCounter("overload.mailbox_rejects");
-  overload_migrations_ = metrics_.GetCounter("overload.migrations");
   local_closure_sends_ = metrics_.GetCounter("wire.local_closure_sends");
   wire_requests_ = metrics_.GetCounter("wire.requests");
   wire_request_bytes_ = metrics_.GetCounter("wire.request_bytes");
@@ -51,20 +52,7 @@ Cluster::Cluster(const RuntimeOptions& options,
   wire_reply_bytes_ = metrics_.GetCounter("wire.reply_bytes");
   wire_decode_failures_ = metrics_.GetCounter("wire.decode_failures");
   wire_unregistered_sends_ = metrics_.GetCounter("wire.unregistered_sends");
-  activation_paged_out_ = metrics_.GetCounter("activation.paged_out");
-  activation_faults_ = metrics_.GetCounter("activation.fault.count");
-  activation_fault_load_ = metrics_.GetHistogram("activation.fault.load_us");
-  activation_fault_wait_ =
-      metrics_.GetHistogram("activation.fault.queue_wait_us");
   directory_.BindMetrics(&metrics_);
-  // Every actor type answers reminder ticks, which reach it from the client
-  // node as wire tells.
-  MethodRegistry& registry = MethodRegistry::Global();
-  Status st = registry.RegisterForAllTypes(&ActorBase::ReceiveReminder,
-                                           "ActorBase.ReceiveReminder");
-  assert(st.ok());
-  (void)st;
-  reminder_wire_ = registry.Find(&ActorBase::ReceiveReminder);
   if (client_executor_->MeasuresTaskCost()) {
     const int nodes = options.num_silos + 1;
     links_.resize(static_cast<size_t>(nodes) * nodes);
@@ -90,63 +78,24 @@ Cluster::Cluster(const RuntimeOptions& options,
 
 Cluster::~Cluster() { Stop(); }
 
-void Cluster::RegisterActorType(const std::string& type, Factory factory) {
+void Cluster::RegisterActorType(const std::string& type,
+                                ActorFactory factory) {
   std::lock_guard<std::mutex> lock(mu_);
-  factories_[type] = std::move(factory);
+  ActorType& record = types_[type];
+  record.factory = std::move(factory);
+  record.mailbox_depth = metrics_.GetGauge("mailbox.depth." + type);
+  record.queue_wait = metrics_.GetHistogram("turn.queue_wait_us." + type);
+  record.turn_exec = metrics_.GetHistogram("turn.exec_us." + type);
+}
+
+const ActorType* Cluster::FindActorType(const std::string& type) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = types_.find(type);
+  return it == types_.end() ? nullptr : &it->second;
 }
 
 void Cluster::SetTypePlacement(const std::string& type, Placement placement) {
   directory_.SetTypePlacement(type, placement);
-}
-
-void Cluster::SetTypeMailboxDepth(const std::string& type, int depth) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (depth <= 0) {
-    type_mailbox_depth_.erase(type);
-  } else {
-    type_mailbox_depth_[type] = depth;
-  }
-}
-
-int Cluster::MailboxLimitFor(const std::string& type) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = type_mailbox_depth_.find(type);
-  return it != type_mailbox_depth_.end() ? it->second
-                                         : options_.overload.max_mailbox_depth;
-}
-
-void Cluster::SetTypeMaxResident(const std::string& type, int limit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (limit <= 0) {
-    type_max_resident_.erase(type);
-  } else {
-    type_max_resident_[type] = limit;
-  }
-}
-
-int Cluster::ResidentLimitFor(const std::string& type) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = type_max_resident_.find(type);
-  return it != type_max_resident_.end() ? it->second : 0;
-}
-
-void Cluster::NoteFaultLoad(Micros load_us) {
-  activation_fault_load_->Record(load_us);
-}
-
-void Cluster::NoteFaultWait(Micros wait_us) {
-  activation_fault_wait_->Record(wait_us);
-}
-
-Gauge* Cluster::MailboxDepthGauge(const std::string& type) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mailbox_gauge_mu_);
-    auto it = mailbox_gauges_.find(type);
-    if (it != mailbox_gauges_.end()) return it->second;
-  }
-  Gauge* gauge = metrics_.GetGauge("mailbox.depth." + type);
-  std::unique_lock<std::shared_mutex> lock(mailbox_gauge_mu_);
-  return mailbox_gauges_.emplace(type, gauge).first->second;
 }
 
 void Cluster::RegisterStateStorage(const std::string& name,
@@ -190,7 +139,7 @@ void Cluster::Send(Envelope env) {
     if (env.fail) {
       env.fail(Status::Unavailable("no live silo in cluster"));
     } else {
-      NoteDeadLetters(1);
+      dead_letters_->Add();
     }
     return;
   }
@@ -456,30 +405,11 @@ MetricsSnapshot Cluster::SnapshotMetrics() const {
   return metrics_.Snapshot();
 }
 
-void Cluster::RecordTurnProfile(const std::string& type, Micros queue_wait_us,
-                                Micros exec_us) {
-  TurnProfile prof;
-  {
-    std::shared_lock<std::shared_mutex> lock(turn_profile_mu_);
-    auto it = turn_profiles_.find(type);
-    if (it != turn_profiles_.end()) prof = it->second;
-  }
-  if (prof.queue_wait == nullptr) {
-    TurnProfile fresh;
-    fresh.queue_wait = metrics_.GetHistogram("turn.queue_wait_us." + type);
-    fresh.exec = metrics_.GetHistogram("turn.exec_us." + type);
-    std::unique_lock<std::shared_mutex> lock(turn_profile_mu_);
-    prof = turn_profiles_.emplace(type, fresh).first->second;
-  }
-  prof.queue_wait->Record(queue_wait_us);
-  prof.exec->Record(exec_us);
-}
-
 Status Cluster::CheckWireRegistry() const {
   std::vector<std::string> uncovered;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [type, factory] : factories_) {
+    for (const auto& [type, record] : types_) {
       if (MethodRegistry::Global().MethodCount(type) == 0) {
         uncovered.push_back(type);
       }
@@ -496,192 +426,30 @@ Status Cluster::CheckWireRegistry() const {
       "actor types with no wire-registered methods: " + joined);
 }
 
-const Cluster::Factory* Cluster::GetFactory(const std::string& type) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = factories_.find(type);
-  return it == factories_.end() ? nullptr : &it->second;
-}
-
-// --- Reminders -------------------------------------------------------------
-
-std::string Cluster::ReminderKey(const ActorId& id, const std::string& name) {
-  return "rem/" + id.type + "/" + id.key + "/" + name;
-}
-
-Status Cluster::RegisterReminder(const ActorId& id, const std::string& name,
-                                 Micros period_us) {
-  if (period_us <= 0) return Status::InvalidArgument("period must be > 0");
-  auto alive = std::make_shared<bool>(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& entry = reminders_[ReminderKey(id, name)];
-    if (entry.alive) *entry.alive = false;  // Replace existing schedule.
-    entry.alive = alive;
-    entry.period_us = period_us;
-  }
-  if (system_kv_ != nullptr) {
-    BufWriter w;
-    w.PutVarint(static_cast<uint64_t>(period_us));
-    AODB_RETURN_NOT_OK(system_kv_->Put(ReminderKey(id, name), w.Release()));
-  }
-  ScheduleReminder(id, name, period_us, std::move(alive));
-  return Status::OK();
-}
-
-Status Cluster::UnregisterReminder(const ActorId& id,
-                                   const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = reminders_.find(ReminderKey(id, name));
-    if (it == reminders_.end()) return Status::NotFound("no such reminder");
-    if (it->second.alive) *it->second.alive = false;
-    reminders_.erase(it);
-  }
-  if (system_kv_ != nullptr) {
-    AODB_RETURN_NOT_OK(system_kv_->Delete(ReminderKey(id, name)));
-  }
-  return Status::OK();
-}
-
-Status Cluster::LoadReminders() {
-  if (system_kv_ == nullptr) return Status::OK();
-  auto listed = system_kv_->List("rem/");
-  if (!listed.ok()) return listed.status();
-  for (const auto& [key, value] : listed.value()) {
-    // Key layout: rem/<type>/<key>/<name>.
-    size_t p1 = key.find('/', 4);
-    if (p1 == std::string::npos) continue;
-    size_t p2 = key.rfind('/');
-    if (p2 == std::string::npos || p2 <= p1) continue;
-    ActorId id{key.substr(4, p1 - 4), key.substr(p1 + 1, p2 - p1 - 1)};
-    std::string name = key.substr(p2 + 1);
-    BufReader r(value);
-    uint64_t period = 0;
-    if (!r.GetVarint(&period).ok()) continue;
-    auto alive = std::make_shared<bool>(true);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto& entry = reminders_[key];
-      if (entry.alive) *entry.alive = false;
-      entry.alive = alive;
-      entry.period_us = static_cast<Micros>(period);
-    }
-    ScheduleReminder(id, name, static_cast<Micros>(period), std::move(alive));
-  }
-  return Status::OK();
-}
-
-size_t Cluster::ActiveReminders() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reminders_.size();
-}
-
-void Cluster::ScheduleReminder(const ActorId& id, const std::string& name,
-                               Micros period_us,
-                               std::shared_ptr<bool> alive) {
-  // Reminder ticks originate from the runtime (client node executor) and
-  // are delivered as wire tells of ActorBase::ReceiveReminder,
-  // re-activating the target if needed.
-  auto fire = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_fire = fire;
-  Cluster* self = this;
-  Executor* exec = client_executor_;
-  *fire = [self, exec, id, name, period_us, alive, weak_fire]() {
-    if (!*alive) return;
-    Envelope env;
-    env.target = id;
-    env.caller_silo = kClientSiloId;
-    env.cost_us = kDefaultMessageCostUs;
-    env.wire = self->reminder_wire_;
-    env.wire_encode_args = [name] {
-      BufWriter w;
-      WireEncodeTuple(&w, std::make_tuple(name));
-      return w.Release();
-    };
-    self->Send(std::move(env));
-    if (auto next = weak_fire.lock()) {
-      exec->PostAfter(period_us, [next] { (*next)(); });
-    }
-  };
-  exec->PostAfter(period_us, [fire] { (*fire)(); });
-}
-
 // --- Lifecycle ---------------------------------------------------------------
 
 void Cluster::StartIdleScanner() {
   if (!options_.lifecycle.enable_idle_deactivation) return;
-  auto alive = std::make_shared<bool>(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (scanner_alive_) *scanner_alive_ = false;
-    scanner_alive_ = alive;
-  }
+  const Micros timeout = options_.lifecycle.idle_timeout_us;
+  std::lock_guard<std::mutex> lock(mu_);
+  idle_scanners_.clear();
   for (auto& silo : silos_) {
     Silo* s = silo.get();
-    Executor* exec = s->executor();
-    Micros interval = options_.lifecycle.scan_interval_us;
-    Micros timeout = options_.lifecycle.idle_timeout_us;
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_tick = tick;
-    *tick = [s, exec, interval, timeout, alive, weak_tick]() {
-      if (!*alive) return;
-      s->SweepIdle(timeout);
-      if (auto next = weak_tick.lock()) {
-        exec->PostAfter(interval, [next] { (*next)(); });
-      }
-    };
-    exec->PostAfter(interval, [tick] { (*tick)(); });
+    idle_scanners_.emplace_back().Start(
+        s->executor(), options_.lifecycle.scan_interval_us,
+        [s, timeout] { s->SweepIdle(timeout); });
   }
-}
-
-void Cluster::StartOverloadController() {
-  if (!options_.overload.enable_hot_migration) return;
-  auto alive = std::make_shared<bool>(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (overload_alive_) *overload_alive_ = false;
-    overload_alive_ = alive;
-  }
-  // The controller ticks on the client-node executor (it is cluster-wide,
-  // not per-silo) with the same weak-self periodic-loop shape as reminders.
-  Executor* exec = client_executor_;
-  Micros interval = options_.overload.scan_interval_us;
-  Cluster* self = this;
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_tick = tick;
-  *tick = [self, exec, interval, alive, weak_tick]() {
-    if (!*alive) return;
-    self->RebalanceHotActors();
-    if (auto next = weak_tick.lock()) {
-      exec->PostAfter(interval, [next] { (*next)(); });
-    }
-  };
-  exec->PostAfter(interval, [tick] { (*tick)(); });
 }
 
 void Cluster::StartMetricsSampler() {
   Micros interval = options_.observability.metrics_sample_interval_us;
   if (interval <= 0) return;
-  auto alive = std::make_shared<bool>(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (sampler_alive_) *sampler_alive_ = false;
-    sampler_alive_ = alive;
-  }
-  // Same weak-self periodic-loop shape as reminders: the sampler ticks on
-  // the client-node executor (cluster-wide, off the silo hot paths).
-  Executor* exec = client_executor_;
-  Cluster* self = this;
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_tick = tick;
-  *tick = [self, exec, interval, alive, weak_tick]() {
-    if (!*alive) return;
-    self->timeline_.Record(exec->clock()->Now(), self->SnapshotMetrics());
-    if (auto next = weak_tick.lock()) {
-      exec->PostAfter(interval, [next] { (*next)(); });
-    }
-  };
-  exec->PostAfter(interval, [tick] { (*tick)(); });
+  // The sampler ticks on the client-node executor (cluster-wide, off the
+  // silo hot paths).
+  std::lock_guard<std::mutex> lock(mu_);
+  sampler_.Start(client_executor_, interval, [this] {
+    timeline_.Record(clock()->Now(), SnapshotMetrics());
+  });
 }
 
 std::string Cluster::BuildPostmortemJson(const std::string& reason) const {
@@ -748,82 +516,6 @@ Status Cluster::DumpPostmortem(const std::string& path,
   AODB_LOG(Warn, "postmortem bundle written to %s (%s)", path.c_str(),
            reason.c_str());
   return Status::OK();
-}
-
-void Cluster::RebalanceHotActors() {
-  // Instantaneous queued counts are noisy — one arrival burst can make the
-  // steady-state-coolest silo sample as the hottest for a single scan — so
-  // the hottest/coolest decision runs on an EWMA across scans instead of the
-  // raw sample.
-  const Micros now = client_executor_->clock()->Now();
-  const Micros cooldown = options_.overload.migration_cooldown_us;
-  if (overload_ewma_.size() != silos_.size()) {
-    overload_ewma_.assign(silos_.size(), 0.0);
-  }
-  SiloId hottest = kNoSilo;
-  SiloId coolest = kNoSilo;
-  double max_load = -1.0;
-  double min_load = 0.0;
-  for (int i = 0; i < num_silos(); ++i) {
-    if (!silos_[i]->alive()) continue;
-    auto queued = static_cast<double>(silos_[i]->QueuedEnvelopes());
-    double load = 0.5 * overload_ewma_[i] + 0.5 * queued;
-    overload_ewma_[i] = load;
-    if (load > max_load) {
-      max_load = load;
-      hottest = static_cast<SiloId>(i);
-    }
-    // A silo that just received a migration still samples as cool (the
-    // moved actor's traffic has not reached it yet); excluding it as a
-    // destination for the cooldown keeps the controller from piling
-    // several hot actors onto one silo and ping-ponging them afterwards.
-    auto dest_it = overload_dest_cooldown_.find(i);
-    if (dest_it != overload_dest_cooldown_.end() &&
-        now - dest_it->second < cooldown) {
-      continue;
-    }
-    if (coolest == kNoSilo || load < min_load) {
-      min_load = load;
-      coolest = static_cast<SiloId>(i);
-    }
-  }
-  if (hottest == kNoSilo || coolest == kNoSilo || hottest == coolest) return;
-  if (max_load - min_load <
-      static_cast<double>(options_.overload.min_load_delta)) {
-    return;
-  }
-  auto hot =
-      silos_[hottest]->HottestActivation(options_.overload.hot_actor_min_depth);
-  if (!hot) return;
-  // The same actor cannot be moved twice in quick succession: every move
-  // pauses the actor and reroutes its mail, so re-migrating on residual
-  // backlog turns the controller itself into an overload source.
-  const std::string key = hot->id.ToString();
-  auto moved_it = overload_actor_cooldown_.find(key);
-  if (moved_it != overload_actor_cooldown_.end() &&
-      now - moved_it->second < cooldown) {
-    return;
-  }
-  if (silos_[hottest]->RequestMigration(hot->id, coolest)) {
-    overload_actor_cooldown_[key] = now;
-    overload_dest_cooldown_[coolest] = now;
-    AODB_LOG(Info,
-             "overload controller migrating hot actor %s: silo %d (%.0f "
-             "load) -> silo %d (%.0f load), mailbox depth %lld",
-             key.c_str(), static_cast<int>(hottest), max_load,
-             static_cast<int>(coolest), min_load,
-             static_cast<long long>(hot->depth));
-    // Drop expired cooldown entries so the maps stay proportional to the
-    // set of recently moved actors, not every actor ever moved.
-    for (auto it = overload_actor_cooldown_.begin();
-         it != overload_actor_cooldown_.end();) {
-      if (now - it->second >= cooldown) {
-        it = overload_actor_cooldown_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 Status Cluster::MigrateActivation(const ActorId& id, SiloId to) {
@@ -893,7 +585,7 @@ void Cluster::EvictInternal(SiloId id, const std::string& reason,
   FailoverPendingCalls(id);
   int64_t dead = silos_[id]->Kill();
   if (dead > 0) {
-    NoteDeadLetters(dead);
+    dead_letters_->Add(dead);
     AODB_LOG(Warn,
              "silo %d eviction dropped %lld envelope(s) with no failure "
              "hook (dead letters)",
@@ -1006,13 +698,11 @@ void Cluster::Stop() {
       AODB_LOG(Warn, "%lld promise(s) leaked during this cluster's lifetime",
                static_cast<long long>(leaked));
     }
-    if (scanner_alive_) *scanner_alive_ = false;
-    if (overload_alive_) *overload_alive_ = false;
-    if (sampler_alive_) *sampler_alive_ = false;
-    for (auto& [key, entry] : reminders_) {
-      if (entry.alive) *entry.alive = false;
-    }
+    idle_scanners_.clear();
+    sampler_.Cancel();
   }
+  reminders_.Stop();
+  controller_.Stop();
   if (membership_) membership_->Stop();
   if (leaked > 0 && !options_.observability.postmortem_path.empty()) {
     // A leak is exactly the failure the flight recorder exists for: ship

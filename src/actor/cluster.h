@@ -1,6 +1,8 @@
-// The cluster: a set of silos, the actor directory, the network model,
-// actor type and storage-provider registries, and persistent reminders.
-// This is the top-level runtime object applications interact with.
+// The cluster: a set of silos, the actor directory, the network model and
+// the wire lane, the actor type and storage-provider registries, and the
+// cluster-wide agents (reminders, the hot-actor controller, the idle
+// scanner, the metrics sampler). This is the top-level runtime object
+// applications interact with.
 
 #ifndef AODB_ACTOR_CLUSTER_H_
 #define AODB_ACTOR_CLUSTER_H_
@@ -9,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +21,9 @@
 #include "actor/envelope.h"
 #include "actor/flight_recorder.h"
 #include "actor/network.h"
+#include "actor/overload_controller.h"
+#include "actor/periodic_task.h"
+#include "actor/reminders.h"
 #include "actor/runtime_options.h"
 #include "actor/silo.h"
 #include "actor/system_kv.h"
@@ -44,8 +48,6 @@ struct WireMethodEntry;
 /// sim::SimHarness for the two canonical wirings.
 class Cluster {
  public:
-  using Factory = std::function<std::unique_ptr<ActorBase>(const ActorId&)>;
-
   /// `silo_executors` must have options.num_silos entries. `system_kv` is
   /// optional; without it reminders are volatile (in-memory only).
   Cluster(const RuntimeOptions& options, std::vector<Executor*> silo_executors,
@@ -65,24 +67,16 @@ class Cluster {
                       [](const ActorId&) { return std::make_unique<T>(); });
   }
 
-  /// Registers an actor type with an explicit factory.
-  void RegisterActorType(const std::string& type, Factory factory);
+  /// Registers an actor type with an explicit factory, and its per-type
+  /// metrics (see ActorType).
+  void RegisterActorType(const std::string& type, ActorFactory factory);
+  /// The registered type's record, or nullptr. Records live as long as the
+  /// cluster.
+  const ActorType* FindActorType(const std::string& type) const;
 
   /// Overrides placement for one actor type (e.g. prefer-local for sensor
   /// channels and aggregators, as in the paper's deployment).
   void SetTypePlacement(const std::string& type, Placement placement);
-
-  /// Overrides the bounded-mailbox depth for one actor type (0 restores
-  /// OverloadOptions::max_mailbox_depth). Takes effect for activations
-  /// created afterwards — the limit is resolved once at activation time.
-  void SetTypeMailboxDepth(const std::string& type, int depth);
-
-  /// Overrides the per-silo resident-activation cap for one actor type
-  /// (0 removes the override; the silo-wide
-  /// RuntimeOptions::max_resident_activations still applies). Takes effect
-  /// for activations created afterwards — the limit is resolved once at
-  /// activation time, like the mailbox depth.
-  void SetTypeMaxResident(const std::string& type, int limit);
 
   /// Registers a named grain-state storage provider.
   void RegisterStateStorage(const std::string& name,
@@ -109,30 +103,21 @@ class Cluster {
   template <typename T>
   ActorRef<T> RefAs(const std::string& type, const std::string& key);
 
-  // --- Reminders (persistent timers) --------------------------------------
+  // --- Agents -------------------------------------------------------------
 
-  /// Registers a periodic reminder for an actor; persisted in the system
-  /// store when available. Fires ActorBase::ReceiveReminder(name), (re-)
-  /// activating the target if needed.
-  Status RegisterReminder(const ActorId& id, const std::string& name,
-                          Micros period_us);
-  Status UnregisterReminder(const ActorId& id, const std::string& name);
-  /// Restores reminders from the system store (after a restart).
-  Status LoadReminders();
-  /// Number of live reminder schedules.
-  size_t ActiveReminders() const;
+  /// Persistent reminders (persistent timers firing
+  /// ActorBase::ReceiveReminder).
+  ReminderService& reminders() { return reminders_; }
+
+  /// The hot-actor controller; its Start is a no-op unless
+  /// options.overload.enable_hot_migration.
+  OverloadController& overload_controller() { return controller_; }
 
   // --- Lifecycle ----------------------------------------------------------
 
   /// Starts periodic idle-deactivation sweeps on every silo (no-op unless
   /// options.lifecycle.enable_idle_deactivation).
   void StartIdleScanner();
-
-  /// Starts the hot-actor controller (no-op unless
-  /// options.overload.enable_hot_migration): a periodic scan that compares
-  /// per-silo queued-envelope totals and live-migrates the deepest eligible
-  /// activation of the most loaded silo to the least loaded one.
-  void StartOverloadController();
 
   /// Live-migrates one activation to silo `to` (the deterministic handle
   /// tests drive instead of waiting for the controller). NotFound when the
@@ -143,7 +128,8 @@ class Cluster {
   /// Deactivates all idle actors on all silos, flushing persistent state.
   Future<Status> DeactivateAll();
 
-  /// Stops reminder and scanner scheduling. Called by the destructor.
+  /// Stops every agent's ticks and the membership loops. Called by the
+  /// destructor.
   void Stop();
 
   // --- Fault injection ----------------------------------------------------
@@ -178,43 +164,6 @@ class Cluster {
   /// Counts one deadline enforcement event (called by the silo when it
   /// drops an expired envelope and by the caller-side watchdog).
   void NoteDeadlineExpired() { deadline_timeouts_->Add(); }
-  /// Counts one load-shed rejection by priority class ("overload.shed.*").
-  void NoteShed(MessagePriority priority) {
-    (priority == MessagePriority::kTelemetry ? overload_shed_telemetry_
-                                             : overload_shed_query_)
-        ->Add();
-  }
-  /// Counts one bounded-mailbox rejection ("overload.mailbox_rejects").
-  void NoteMailboxReject() { overload_mailbox_rejects_->Add(); }
-  /// Counts one completed hot-actor migration ("overload.migrations").
-  void NoteMigration() { overload_migrations_->Add(); }
-  /// Effective mailbox cap for an actor type: the per-type override, else
-  /// OverloadOptions::max_mailbox_depth (0 = unbounded). Resolved once per
-  /// activation by the hosting silo.
-  int MailboxLimitFor(const std::string& type) const;
-  /// The cluster-wide "mailbox.depth.<type>" gauge, cached per type so the
-  /// silo resolves it once per activation.
-  Gauge* MailboxDepthGauge(const std::string& type);
-  /// Per-type resident-activation cap for an actor type (0 = only the
-  /// silo-wide cap applies). Resolved once per activation.
-  int ResidentLimitFor(const std::string& type) const;
-  /// Counts one working-set page-out ("activation.paged_out").
-  void NotePagedOut() { activation_paged_out_->Add(); }
-  /// Counts one activation fault ("activation.fault.count"): a message hit
-  /// a registered-but-paged actor and is re-creating it.
-  void NoteFaultIn() { activation_faults_->Add(); }
-  /// Records the storage-load leg of one fault (enqueue -> OnActivate
-  /// complete), "activation.fault.load_us".
-  void NoteFaultLoad(Micros load_us);
-  /// Records the end-to-end queue wait of the faulting message (enqueue ->
-  /// first turn dispatch), "activation.fault.queue_wait_us".
-  void NoteFaultWait(Micros wait_us);
-  /// Counts envelopes dropped with nobody to notify ("cluster.dead_letters":
-  /// tells in a dead silo's mailboxes or wedge backlog, tells routed to it
-  /// mid-flight).
-  void NoteDeadLetters(int64_t n) {
-    if (n > 0) dead_letters_->Add(n);
-  }
 
   /// Installs the injector whose message-fault hooks Send consults. Not
   /// owned; pass nullptr to detach. Usually called via FaultInjector::Arm.
@@ -238,8 +187,6 @@ class Cluster {
   Clock* clock() { return client_executor_->clock(); }
   Directory& directory() { return directory_; }
   NetworkModel& network() { return network_; }
-  /// Registered factory for a type, or nullptr.
-  const Factory* GetFactory(const std::string& type) const;
   size_t TotalActivations() const;
   int64_t TotalMessagesProcessed() const;
 
@@ -294,14 +241,6 @@ class Cluster {
   /// All buffered traces, parent-linked, as JSON (see Tracer::DumpJson).
   std::string DumpTraceJson() const { return tracer_.DumpJson(); }
 
-  /// Records one turn's mailbox wait and measured execution time into the
-  /// per-actor-type profile histograms ("turn.queue_wait_us.<type>",
-  /// "turn.exec_us.<type>"). Called by the silo after every turn; the
-  /// per-type pointers are cached so the hot path takes a shared lock and
-  /// no allocation.
-  void RecordTurnProfile(const std::string& type, Micros queue_wait_us,
-                         Micros exec_us);
-
   /// Registry completeness check for fail-fast startup: every registered
   /// actor type must have at least one wire-registered method of its own
   /// (the runtime's ActorBase::ReceiveReminder registration does not
@@ -310,11 +249,6 @@ class Cluster {
   Status CheckWireRegistry() const;
 
  private:
-  struct ReminderEntry {
-    std::shared_ptr<bool> alive;
-    Micros period_us = 0;
-  };
-
   using WireReplyHandler = std::function<void(Result<std::string>&&)>;
 
   /// One wire call in flight against a remote silo, tracked (only when
@@ -341,10 +275,6 @@ class Cluster {
   /// re-submission for the caller's promise.
   void FailoverPendingCalls(SiloId dead);
 
-  /// One controller scan: compare per-silo queued totals and migrate the
-  /// hottest eligible activation when the imbalance justifies it.
-  void RebalanceHotActors();
-
   /// Remote send on the wire lane: encodes the request frame, charges the
   /// network model the measured byte count, and schedules decode + dispatch
   /// on the target silo.
@@ -363,10 +293,6 @@ class Cluster {
   /// on the receiver's workers in real mode, as a timed event under the
   /// simulator.
   void Transmit(SiloId from, SiloId to, Micros due, std::function<void()> fn);
-
-  void ScheduleReminder(const ActorId& id, const std::string& name,
-                        Micros period_us, std::shared_ptr<bool> alive);
-  static std::string ReminderKey(const ActorId& id, const std::string& name);
 
   const RuntimeOptions options_;
   std::vector<Executor*> silo_executors_;
@@ -405,19 +331,6 @@ class Cluster {
   Counter* deadline_timeouts_;
   Counter* no_live_silo_rejects_;
 
-  // Overload-management counters ("overload.*" series).
-  Counter* overload_shed_telemetry_;
-  Counter* overload_shed_query_;
-  Counter* overload_mailbox_rejects_;
-  Counter* overload_migrations_;
-
-  // Activation-paging counters and fault-latency histograms
-  // ("activation.*" series).
-  Counter* activation_paged_out_;
-  Counter* activation_faults_;
-  ConcurrentHistogram* activation_fault_load_;
-  ConcurrentHistogram* activation_fault_wait_;
-
   Counter* local_closure_sends_;
   Counter* wire_requests_;
   Counter* wire_request_bytes_;
@@ -429,41 +342,21 @@ class Cluster {
   Counter* wire_unregistered_sends_;
   std::mutex unregistered_logged_mu_;
   std::unordered_set<std::string> unregistered_logged_;
-  /// The runtime's registration of ActorBase::ReceiveReminder.
-  const WireMethodInfo* reminder_wire_ = nullptr;
 
-  /// Per-actor-type turn-profile histograms (see RecordTurnProfile).
-  struct TurnProfile {
-    ConcurrentHistogram* queue_wait = nullptr;
-    ConcurrentHistogram* exec = nullptr;
-  };
-  mutable std::shared_mutex turn_profile_mu_;
-  std::unordered_map<std::string, TurnProfile> turn_profiles_;
-
-  /// Per-actor-type mailbox-depth gauges (see MailboxDepthGauge).
-  mutable std::shared_mutex mailbox_gauge_mu_;
-  std::unordered_map<std::string, Gauge*> mailbox_gauges_;
+  ReminderService reminders_;
+  OverloadController controller_;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Factory> factories_;
+  /// Node-based, so the records Silo activations point at never move.
+  std::unordered_map<std::string, ActorType> types_;
   std::unordered_map<std::string, std::shared_ptr<StateStorage>> storages_;
-  std::unordered_map<std::string, int> type_mailbox_depth_;
-  std::unordered_map<std::string, int> type_max_resident_;
-  std::unordered_map<std::string, ReminderEntry> reminders_;
-  std::shared_ptr<bool> scanner_alive_;
-  std::shared_ptr<bool> overload_alive_;
-  std::shared_ptr<bool> sampler_alive_;
+  /// One idle-sweep loop per silo, and the metrics sampler.
+  std::vector<PeriodicTask> idle_scanners_;
+  PeriodicTask sampler_;
   /// Process-wide PromisesLeaked() at construction; Stop() publishes the
   /// lifetime delta as the "runtime.leaked_promises" gauge, so a run that
   /// dropped a continuation on the floor is visible in the registry.
   const int64_t promise_leak_baseline_ = PromisesLeaked();
-  /// Overload-controller private state, touched ONLY from RebalanceHotActors
-  /// (ticks are serialized on the client executor, so no lock): smoothed
-  /// per-silo queued-envelope loads plus the cooldown bookkeeping for
-  /// recently migrated actors and recently targeted destination silos.
-  std::vector<double> overload_ewma_;
-  std::unordered_map<std::string, Micros> overload_actor_cooldown_;
-  std::unordered_map<int, Micros> overload_dest_cooldown_;
   bool stopped_ = false;
 };
 

@@ -98,27 +98,16 @@ void MembershipService::Start() {
   for (SiloId i = 0; i < num_silos_; ++i) {
     RenewLease(i);
     Executor* exec = cluster_->ExecutorFor(i);
-    ScheduleLoop(exec, opts_.heartbeat_period_us,
-                 [this, i] { HeartbeatTick(i); });
-    ScheduleLoop(exec, opts_.probe_period_us, [this, i] { ProbeTick(i); });
+    loops_.emplace_back().Start(exec, opts_.heartbeat_period_us,
+                                [this, i] { HeartbeatTick(i); });
+    loops_.emplace_back().Start(exec, opts_.probe_period_us,
+                                [this, i] { ProbeTick(i); });
   }
 }
 
-void MembershipService::Stop() { running_->store(false); }
-
-void MembershipService::ScheduleLoop(Executor* exec, Micros period,
-                                     std::function<void()> body) {
-  auto running = running_;
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_tick = tick;
-  *tick = [running, exec, period, body = std::move(body), weak_tick]() {
-    if (!running->load(std::memory_order_acquire)) return;
-    body();
-    if (auto next = weak_tick.lock()) {
-      exec->PostAfter(period, [next] { (*next)(); });
-    }
-  };
-  exec->PostAfter(period, [tick] { (*tick)(); });
+void MembershipService::Stop() {
+  running_->store(false);
+  for (PeriodicTask& loop : loops_) loop.Cancel();
 }
 
 // --- Heartbeats --------------------------------------------------------------

@@ -25,6 +25,7 @@
 
 #include "actor/actor_id.h"
 #include "actor/executor.h"
+#include "actor/periodic_task.h"
 #include "actor/runtime_options.h"
 #include "actor/system_kv.h"
 #include "common/clock.h"
@@ -114,7 +115,6 @@ class MembershipService {
 
   void RenewLease(SiloId id);
   void ClearSuspicions(SiloId target);
-  void ScheduleLoop(Executor* exec, Micros period, std::function<void()> body);
 
   static std::string LeaseKey(SiloId id);
   static std::string SuspectKey(SiloId target, SiloId by);
@@ -132,9 +132,11 @@ class MembershipService {
   const MembershipOptions opts_;
   const int num_silos_;
 
-  /// Master liveness switch for all agent loops; shared with the loop
-  /// closures so Stop() works even while ticks are in flight.
+  /// Liveness switch of in-flight probes and acks; shared with their
+  /// closures so Stop() works while they are on the wire.
   std::shared_ptr<std::atomic<bool>> running_;
+  /// Every silo's heartbeat and probe loops.
+  std::vector<PeriodicTask> loops_;
 
   mutable std::mutex mu_;
   /// In-process fallback table (kv_ == nullptr).

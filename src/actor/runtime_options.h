@@ -98,8 +98,7 @@ struct OverloadOptions {
   /// Per-activation mailbox cap (0 = unbounded). A delivery that would
   /// exceed it is rejected with Status::Overloaded instead of queued; the
   /// sender's retry policy treats that as retryable-with-backoff (see
-  /// IsTransient). Override per actor type with
-  /// Cluster::SetTypeMailboxDepth.
+  /// IsTransient).
   int max_mailbox_depth = 0;
   /// Silo-level shed watermark over the TOTAL queued envelopes on a silo
   /// (0 = shedding off). At or past it, kTelemetry messages are rejected
@@ -137,18 +136,14 @@ struct OverloadOptions {
 /// relaxed fetch_add plus a fixed-size slot store, cheap enough to stay
 /// enabled in production (see EXPERIMENTS.md overhead table).
 struct ObservabilityOptions {
-  /// Master switch of the flight recorder. Off → Record is a branch.
+  /// Master switch of the flight recorder (1,024 events per silo ring).
+  /// Off → Record is a branch.
   bool enable_flight_recorder = true;
-  /// Flight-record slots per silo ring (rounded up to a power of two).
-  /// Oldest events are overwritten on wrap.
-  int flight_ring_capacity = 1024;
   /// Cadence of the background metrics sampler (0 = sampler off, the
   /// default — figure benches must stay bit-identical). When set,
   /// Cluster::StartMetricsSampler records a MetricsSnapshot delta into the
-  /// timeline every interval.
+  /// timeline (the last 256 samples) every interval.
   Micros metrics_sample_interval_us = 0;
-  /// Bounded length of the metrics timeline (oldest samples fall off).
-  int metrics_timeline_capacity = 256;
   /// When non-empty, Cluster::Stop writes a postmortem bundle here if the
   /// run leaked promises (the hang-forever bug class); explicit
   /// Cluster::DumpPostmortem(path) works regardless.
@@ -183,19 +178,12 @@ struct RuntimeOptions {
   /// front). Batching amortizes executor queue round-trips for hot actors;
   /// the cap bounds how long one actor can monopolize a worker. 1 disables.
   int max_turn_batch = 16;
-  /// Lock stripes of the actor directory (rounded up to a power of two,
-  /// minimum 1). Each stripe owns its own mutex, hash partition, and
-  /// placement RNG, so concurrent lookups/placements on different stripes
-  /// never contend. 16 keeps per-stripe metrics readable while removing the
-  /// global-mutex wall on multi-worker configs.
-  int directory_shards = 16;
   /// Per-silo working-set cap on resident activations (0 = unbounded, the
   /// default). Past the cap the silo pages the least-recently-active idle
   /// activations out to storage — their directory registration is KEPT and
   /// marked paged, so the next message faults the actor back in on the same
   /// silo instead of re-placing it. Busy actors are never paged mid-turn
-  /// (same kIdle -> kDeactivating claim as the idle sweeper). Override per
-  /// actor type with Cluster::SetTypeMaxResident.
+  /// (same kIdle -> kDeactivating claim as the idle sweeper).
   int max_resident_activations = 0;
   NetworkOptions network;
   WireOptions wire;

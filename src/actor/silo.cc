@@ -6,6 +6,7 @@
 #include "actor/cluster.h"
 #include "actor/method_registry.h"
 #include "common/logging.h"
+#include "common/telemetry.h"
 
 namespace aodb {
 
@@ -31,7 +32,20 @@ Silo::Silo(SiloId id, Cluster* cluster, Executor* executor)
           cluster->options().overload.shed_hard_watermark > 0
               ? cluster->options().overload.shed_hard_watermark
               : 2 * cluster->options().overload.shed_watermark),
-      max_resident_(cluster->options().max_resident_activations) {}
+      max_resident_(cluster->options().max_resident_activations),
+      max_mailbox_depth_(cluster->options().overload.max_mailbox_depth),
+      shed_telemetry_(
+          cluster->metrics().GetCounter("overload.shed.telemetry")),
+      shed_query_(cluster->metrics().GetCounter("overload.shed.query")),
+      mailbox_rejects_(
+          cluster->metrics().GetCounter("overload.mailbox_rejects")),
+      migrations_(cluster->metrics().GetCounter("overload.migrations")),
+      paged_out_(cluster->metrics().GetCounter("activation.paged_out")),
+      faults_(cluster->metrics().GetCounter("activation.fault.count")),
+      fault_load_(
+          cluster->metrics().GetHistogram("activation.fault.load_us")),
+      fault_wait_(cluster->metrics().GetHistogram(
+          "activation.fault.queue_wait_us")) {}
 
 void Silo::Deliver(Envelope env) {
   if (!alive()) {
@@ -59,7 +73,9 @@ void Silo::Deliver(Envelope env) {
                        ? shed_watermark_
                        : shed_hard_watermark_;
     if (queued >= mark) {
-      cluster_->NoteShed(env.priority);
+      (env.priority == MessagePriority::kTelemetry ? shed_telemetry_
+                                                   : shed_query_)
+          ->Add();
       cluster_->flight_recorder().Record(FlightEventType::kShed, id_,
                                          env.target.ToString(),
                                          env.trace.trace_id, queued,
@@ -102,13 +118,10 @@ void Silo::Deliver(Envelope env) {
       Reroute(std::move(env));
       return;
     }
-    // Resolve the mailbox cap and per-type depth gauge outside mu_ (both
-    // take cluster/registry locks); the emplace re-checks for a racing
-    // creator.
-    auto fresh = std::make_shared<Activation>(env.target);
-    fresh->mailbox_limit = cluster_->MailboxLimitFor(env.target.type);
-    fresh->depth_gauge = cluster_->MailboxDepthGauge(env.target.type);
-    fresh->resident_limit = cluster_->ResidentLimitFor(env.target.type);
+    // Resolve the type record outside mu_ (it takes the cluster's lock);
+    // the emplace re-checks for a racing creator.
+    auto fresh = std::make_shared<Activation>(
+        env.target, cluster_->FindActorType(env.target.type));
     if (owner->paged) {
       fresh->fault_in = true;
       fresh->fault_start_us = env.enqueue_us;
@@ -122,10 +135,7 @@ void Silo::Deliver(Envelope env) {
         ++stats_.activations_created;
         is_new = true;
         LruPushBackLocked(act);
-        if (act->resident_limit > 0) {
-          ++type_residency_[act->id.type].resident;
-        }
-        evict_needed = OverResidencyLocked(act);
+        evict_needed = max_resident_ > 0 && ResidentLocked() > max_resident_;
       }
     }
     if (is_new) {
@@ -134,7 +144,7 @@ void Silo::Deliver(Envelope env) {
         // fault; BeginActivate stamps the load latency once OnActivate's
         // storage read completes.
         cluster_->directory().ClearPaged(env.target, id_);
-        cluster_->NoteFaultIn();
+        faults_->Add();
       }
       if (evict_needed) MaybeScheduleEviction();
     }
@@ -156,8 +166,8 @@ void Silo::Deliver(Envelope env) {
       case ActState::kLoading:
       case ActState::kScheduled:
       case ActState::kRunning:
-        if (act->mailbox_limit > 0 &&
-            static_cast<int>(act->mailbox.size()) >= act->mailbox_limit) {
+        if (max_mailbox_depth_ > 0 &&
+            static_cast<int>(act->mailbox.size()) >= max_mailbox_depth_) {
           // Bounded mailbox: reject instead of queueing without limit. The
           // caller's retry policy backs off and re-sends to the SAME
           // placement once the actor drains.
@@ -166,22 +176,20 @@ void Silo::Deliver(Envelope env) {
           break;
         }
         act->mailbox.push_back(std::move(env));
-        queued_.fetch_add(1, std::memory_order_relaxed);
-        act->depth_gauge->Add(1);
+        CountQueued(*act, 1);
         break;
       case ActState::kIdle:
         assert(act->mailbox.empty());
         cost = env.cost_us;
         act->mailbox.push_back(std::move(env));
-        queued_.fetch_add(1, std::memory_order_relaxed);
-        act->depth_gauge->Add(1);
+        CountQueued(*act, 1);
         act->state = ActState::kScheduled;
         schedule = true;
         break;
     }
   }
   if (mailbox_full) {
-    cluster_->NoteMailboxReject();
+    mailbox_rejects_->Add();
     cluster_->flight_recorder().Record(FlightEventType::kMailboxReject, id_,
                                        env.target.ToString(),
                                        env.trace.trace_id, depth,
@@ -210,7 +218,6 @@ void Silo::Deliver(Envelope env) {
 void Silo::BeginActivate(const ActivationPtr& act) {
   executor_->Post(Task{
       [this, act] {
-        const Cluster::Factory* factory = cluster_->GetFactory(act->id.type);
         auto fail_all = [this, act](const Status& st) {
           std::deque<Envelope> pending;
           {
@@ -218,29 +225,26 @@ void Silo::BeginActivate(const ActivationPtr& act) {
             act->state = ActState::kClosed;
             pending.swap(act->mailbox);
           }
-          DrainQueueAccounting(act, pending.size());
+          CountQueued(*act, -static_cast<int64_t>(pending.size()));
           cluster_->directory().Remove(act->id, id_);
           {
             std::lock_guard<std::mutex> lock(mu_);
             catalog_.erase(act->id);
             LruUnlinkLocked(act);
-            if (act->resident_limit > 0) {
-              --type_residency_[act->id.type].resident;
-            }
             ++stats_.activations_removed;
           }
           for (auto& e : pending) {
             if (e.fail) e.fail(st);
           }
         };
-        if (factory == nullptr) {
+        if (act->type == nullptr) {
           AODB_LOG(Error, "no factory for actor type %s",
                    act->id.type.c_str());
           fail_all(Status::InvalidArgument("unregistered actor type: " +
                                            act->id.type));
           return;
         }
-        std::unique_ptr<ActorBase> actor = (*factory)(act->id);
+        std::unique_ptr<ActorBase> actor = act->type->factory(act->id);
         actor->BindContext(std::make_unique<ActorContext>(
             act->id, id_, cluster_, executor_));
         {
@@ -284,7 +288,7 @@ void Silo::BeginActivate(const ActivationPtr& act) {
                 // Cold hit -> storage load complete: the fault's load leg.
                 // (The end-to-end queue wait is stamped by the first turn.)
                 Micros load_us = now - act->fault_start_us;
-                cluster_->NoteFaultLoad(load_us);
+                fault_load_->Record(load_us);
                 cluster_->flight_recorder().Record(FlightEventType::kFaultIn,
                                                    id_, act->id.ToString(),
                                                    /*trace_id=*/0, load_us,
@@ -327,8 +331,7 @@ void Silo::RunTurn(const ActivationPtr& act) {
       }
       env = std::move(act->mailbox.front());
       act->mailbox.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      act->depth_gauge->Add(-1);
+      CountQueued(*act, -1);
     }
     ProcessEnvelope(act, env);
     ++processed;
@@ -380,7 +383,7 @@ void Silo::ProcessEnvelope(const ActivationPtr& act, Envelope& env) {
     // dispatch). Plain field: set before the activation was published,
     // cleared here on the serialized turn path.
     act->fault_in = false;
-    cluster_->NoteFaultWait(queue_wait);
+    fault_wait_->Record(queue_wait);
   }
   bool expired = env.deadline_us > 0 && turn_start > env.deadline_us;
   if (expired) {
@@ -422,7 +425,8 @@ void Silo::ProcessEnvelope(const ActivationPtr& act, Envelope& env) {
     internal::CurrentTurnDeadline() = saved_deadline;
     Micros turn_end = executor_->clock()->Now();
     Micros exec_us = turn_end - turn_start;
-    cluster_->RecordTurnProfile(env.target.type, queue_wait, exec_us);
+    act->type->queue_wait->Record(queue_wait);
+    act->type->turn_exec->Record(exec_us);
     if (turn_ctx.sampled) {
       SpanRecord rec;
       rec.trace_id = turn_ctx.trace_id;
@@ -525,22 +529,6 @@ void Silo::LruUnlinkLocked(const ActivationPtr& act) {
   act->in_lru = false;
 }
 
-bool Silo::OverResidencyLocked(const ActivationPtr& act) const {
-  if (max_resident_ > 0 &&
-      static_cast<int64_t>(catalog_.size()) - pending_page_outs_ >
-          max_resident_) {
-    return true;
-  }
-  if (act->resident_limit > 0) {
-    auto it = type_residency_.find(act->id.type);
-    if (it != type_residency_.end() &&
-        it->second.resident - it->second.pending_out > act->resident_limit) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Silo::MaybeScheduleEviction() {
   if (eviction_scheduled_.exchange(true, std::memory_order_acq_rel)) return;
   // Cost 0: the pass is bookkeeping, not simulated actor work — and paging
@@ -555,10 +543,6 @@ void Silo::RunEvictionPass() {
   // pass. Missing a trigger entirely is not possible.
   eviction_scheduled_.store(false, std::memory_order_release);
   if (!alive()) return;
-  // Over-cap types whose oldest entry hides deep behind fresh silo-wide
-  // entries are found within this bound per pass; the next over-cap insert
-  // re-triggers, so enforcement converges without an O(resident) walk.
-  constexpr int kTypeScanBound = 128;
   // Each round either pages one victim out or rotates one busy entry to the
   // recent end; the guard bounds a pass where everything stale is busy.
   constexpr int kMaxRounds = 1024;
@@ -574,28 +558,13 @@ void Silo::RunEvictionPass() {
     ActivationPtr victim;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      int64_t resident =
-          static_cast<int64_t>(catalog_.size()) - pending_page_outs_;
+      int64_t resident = ResidentLocked();
       if (max_resident_ > 0 && resident > max_resident_) draining = true;
       if (draining && resident <= low_water) draining = false;
-      if (draining) {
-        if (!lru_.empty()) victim = lru_.front();
-      } else {
-        int scanned = 0;
-        for (const auto& act : lru_) {
-          if (++scanned > kTypeScanBound) break;
-          if (act->resident_limit <= 0) continue;
-          auto it = type_residency_.find(act->id.type);
-          if (it != type_residency_.end() &&
-              it->second.resident - it->second.pending_out >
-                  act->resident_limit) {
-            victim = act;
-            break;
-          }
-        }
-      }
+      // Cap satisfied, or nothing left to page out.
+      if (!draining || lru_.empty()) return;
+      victim = lru_.front();
     }
-    if (!victim) return;  // Caps satisfied (or no eligible entry in bound).
     bool claimed = false;
     {
       // Same claim as the idle sweeper: only a quiescent activation pages
@@ -613,9 +582,6 @@ void Silo::RunEvictionPass() {
       if (claimed) {
         LruUnlinkLocked(victim);
         ++pending_page_outs_;
-        if (victim->resident_limit > 0) {
-          ++type_residency_[victim->id.type].pending_out;
-        }
         ++stats_.activations_paged_out;
       } else {
         // Busy (or already closing): rotate it to the recent end so the
@@ -676,7 +642,6 @@ int64_t Silo::Kill() {
     catalog_.clear();
     for (auto& act : lru_) act->in_lru = false;
     lru_.clear();
-    type_residency_.clear();
     pending_page_outs_ = 0;
     stats_.activations_removed += static_cast<int64_t>(victims.size());
     zombies_.insert(zombies_.end(), victims.begin(), victims.end());
@@ -715,7 +680,7 @@ int64_t Silo::Kill() {
       act->state = ActState::kClosed;
       pending.swap(act->mailbox);
     }
-    DrainQueueAccounting(act, pending.size());
+    CountQueued(*act, -static_cast<int64_t>(pending.size()));
     if (act->actor) act->actor->ctx().CancelAllTimers();
     auto depth = static_cast<int64_t>(pending.size());
     for (auto& e : pending) drop(e, depth);
@@ -749,7 +714,7 @@ void Silo::FinishDeactivation(const ActivationPtr& act,
                 page_out = act->page_out;
                 pending.swap(act->mailbox);
               }
-              DrainQueueAccounting(act, pending.size());
+              CountQueued(*act, -static_cast<int64_t>(pending.size()));
               // Migration: move the directory entry to the target instead
               // of removing it, so the rerouted mailbox and every later
               // send land there and re-activate from persisted state. Move
@@ -770,22 +735,18 @@ void Silo::FinishDeactivation(const ActivationPtr& act,
                 std::lock_guard<std::mutex> lock(mu_);
                 catalog_.erase(act->id);
                 LruUnlinkLocked(act);
-                if (act->resident_limit > 0) {
-                  --type_residency_[act->id.type].resident;
-                  if (page_out) --type_residency_[act->id.type].pending_out;
-                }
                 if (page_out) --pending_page_outs_;
                 ++stats_.activations_removed;
               }
               Micros now = executor_->clock()->Now();
               if (paged) {
-                cluster_->NotePagedOut();
+                paged_out_->Add();
                 cluster_->flight_recorder().Record(
                     FlightEventType::kPagedOut, id_, act->id.ToString(),
                     /*trace_id=*/0,
                     /*detail=*/static_cast<int64_t>(pending.size()), now);
               } else if (moved) {
-                cluster_->NoteMigration();
+                migrations_->Add();
                 cluster_->flight_recorder().Record(
                     FlightEventType::kMigrate, id_, act->id.ToString(),
                     /*trace_id=*/0, /*detail=*/migrate_to, now);
@@ -807,10 +768,10 @@ void Silo::FinishDeactivation(const ActivationPtr& act,
       kLifecycleCostUs});
 }
 
-void Silo::DrainQueueAccounting(const ActivationPtr& act, size_t n) {
+void Silo::CountQueued(const Activation& act, int64_t n) {
   if (n == 0) return;
-  queued_.fetch_sub(static_cast<int64_t>(n), std::memory_order_relaxed);
-  act->depth_gauge->Add(-static_cast<int64_t>(n));
+  queued_.fetch_add(n, std::memory_order_relaxed);
+  if (act.type != nullptr) act.type->mailbox_depth->Add(n);
 }
 
 int64_t Silo::MailboxDepth(const ActivationPtr& act) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -23,7 +24,22 @@
 namespace aodb {
 
 class Cluster;
+class ConcurrentHistogram;
+class Counter;
 class Gauge;
+
+using ActorFactory = std::function<std::unique_ptr<ActorBase>(const ActorId&)>;
+
+/// One registered actor type (Cluster::RegisterActorType): how to construct
+/// an activation, and the type's "mailbox.depth.<type>" gauge and
+/// "turn.queue_wait_us.<type>" / "turn.exec_us.<type>" histograms. A silo
+/// looks it up once per activation, and the activation keeps it.
+struct ActorType {
+  ActorFactory factory;
+  Gauge* mailbox_depth = nullptr;
+  ConcurrentHistogram* queue_wait = nullptr;
+  ConcurrentHistogram* turn_exec = nullptr;
+};
 
 /// Counters exposed for tests and benchmark reporting.
 struct SiloStats {
@@ -57,7 +73,7 @@ class Silo {
   /// is closing. Under overload the message may instead be rejected with
   /// Status::Overloaded: silo-wide shedding by MessagePriority past the
   /// configured watermarks, and per-activation bounded mailboxes
-  /// (OverloadOptions / Cluster::SetTypeMailboxDepth).
+  /// (OverloadOptions::max_mailbox_depth).
   void Deliver(Envelope env);
 
   /// Total envelopes currently queued across this silo's mailboxes (the
@@ -144,17 +160,16 @@ class Silo {
   };
 
   struct Activation {
-    explicit Activation(ActorId id_in) : id(std::move(id_in)) {}
+    Activation(ActorId id_in, const ActorType* type_in)
+        : id(std::move(id_in)), type(type_in) {}
     const ActorId id;
+    /// Null for a type nobody registered: BeginActivate then fails the
+    /// activation before any turn runs.
+    const ActorType* const type;
     std::mutex mu;
     std::unique_ptr<ActorBase> actor;
     std::deque<Envelope> mailbox;
     ActState state = ActState::kLoading;
-    /// Mailbox cap (0 = unbounded) and the cluster-wide per-type depth
-    /// gauge, both resolved once at creation so enqueue stays lock-free
-    /// beyond the activation's own mu.
-    int mailbox_limit = 0;
-    Gauge* depth_gauge = nullptr;
     /// Migration target (kNoSilo = none), guarded by mu. Set by
     /// RequestMigration; a running/scheduled activation transitions to
     /// kDeactivating at the end of its current turn — directly from
@@ -164,9 +179,6 @@ class Silo {
     /// Last turn-completion time. Atomic (relaxed) so the idle sweeper can
     /// pre-filter candidates without taking every activation's mu.
     std::atomic<Micros> last_active{0};
-    /// Per-type residency cap this activation counts against (0 = only the
-    /// silo-wide cap applies). Resolved once at creation like mailbox_limit.
-    int resident_limit = 0;
     /// True while this activation is deactivating because the working-set
     /// limit evicted it (as opposed to idle timeout / migration / shutdown):
     /// FinishDeactivation then KEEPS the directory entry and marks it paged.
@@ -220,24 +232,25 @@ class Silo {
   void LruTouchThrottled(const ActivationPtr& act, Micros now);
   /// Removes an entry (claimed for deactivation, failed load, or kill).
   void LruUnlinkLocked(const ActivationPtr& act);
-  /// True when the silo-wide or `act`'s per-type residency cap is exceeded,
-  /// counting activations already claimed for page-out as gone.
-  bool OverResidencyLocked(const ActivationPtr& act) const;
+  /// Activations counted against the resident cap: those claimed for
+  /// page-out count as gone.
+  int64_t ResidentLocked() const {
+    return static_cast<int64_t>(catalog_.size()) - pending_page_outs_;
+  }
   /// Posts one eviction pass to the executor unless one is already pending.
   void MaybeScheduleEviction();
   /// Evicts least-recently-active idle activations (kIdle + empty mailbox,
   /// claimed under each victim's mu exactly like the idle sweeper) until the
-  /// caps are satisfied or nothing is claimable. Busy entries are re-queued
+  /// cap is satisfied or nothing is claimable. Busy entries are re-queued
   /// at the recent end so the pass is O(evicted + skipped-this-pass), never
   /// O(catalog).
   void RunEvictionPass();
   /// Current mailbox depth of one activation (takes its lock briefly; only
   /// called on rare warn/flight-event paths, never per message).
   static int64_t MailboxDepth(const ActivationPtr& act);
-  /// Settles the silo queued-envelope count and the per-type depth gauge
-  /// for `n` envelopes drained from an activation's mailbox in bulk
-  /// (deactivation re-route, activation failure, kill).
-  void DrainQueueAccounting(const ActivationPtr& act, size_t n);
+  /// Adds `n` (negative: drained) to the silo's queued-envelope count and
+  /// to the depth gauge of `act`'s type.
+  void CountQueued(const Activation& act, int64_t n);
 
   const SiloId id_;
   Cluster* const cluster_;
@@ -252,6 +265,19 @@ class Silo {
   /// Silo-wide resident-activation cap (0 = unbounded) from
   /// RuntimeOptions::max_resident_activations.
   const int max_resident_;
+  /// Per-activation mailbox cap (0 = unbounded) from
+  /// OverloadOptions::max_mailbox_depth.
+  const int max_mailbox_depth_;
+  /// The cluster registry's "overload.*" and "activation.*" series that
+  /// only silos record.
+  Counter* const shed_telemetry_;
+  Counter* const shed_query_;
+  Counter* const mailbox_rejects_;
+  Counter* const migrations_;
+  Counter* const paged_out_;
+  Counter* const faults_;
+  ConcurrentHistogram* const fault_load_;
+  ConcurrentHistogram* const fault_wait_;
   std::atomic<bool> alive_{true};
   std::atomic<bool> wedged_{false};
   /// Off the silo lock: bumped once per turn batch, not under mu_.
@@ -273,13 +299,6 @@ class Silo {
   /// erased them from catalog_. Subtracted from the resident count so one
   /// eviction pass doesn't over-evict while deactivations are in flight.
   int64_t pending_page_outs_ = 0;
-  /// Per-type residency accounting, only for types with a per-type cap
-  /// (Cluster::SetTypeMaxResident). Guarded by mu_.
-  struct TypeResidency {
-    int64_t resident = 0;
-    int64_t pending_out = 0;
-  };
-  std::unordered_map<std::string, TypeResidency> type_residency_;
   /// Collapses bursts of over-cap inserts into one posted eviction pass.
   std::atomic<bool> eviction_scheduled_{false};
   /// Activations closed by Kill(). Retained (not destroyed) because

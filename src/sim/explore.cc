@@ -272,7 +272,7 @@ RunResult RunScenario(const FaultPlan& plan, const ExploreConfig& config) {
         std::make_shared<KvStateStorage>(&backing), &injector);
     cluster.RegisterStateStorage("default", faulty);
     cluster.StartIdleScanner();
-    cluster.StartOverloadController();
+    cluster.overload_controller().Start();
 
     // Invariant 1: exactly-one-live-activation, cross-checked against the
     // directory. Run at every quiesce point — a transient split-brain is

@@ -55,7 +55,8 @@ struct PersistenceOptions {
   int window_updates = 100;
   Micros window_interval_us = 10 * kMicrosPerSecond;
   /// Name of the storage provider registered on the cluster. If the
-  /// provider is missing the actor runs volatile (logged once).
+  /// provider is missing the actor runs volatile: its state is never
+  /// loaded or written, and nothing logs or counts that.
   std::string provider = "default";
   /// Retry policy for snapshot loads and writes (transient storage errors
   /// only; NotFound and Corruption surface immediately).

@@ -339,7 +339,8 @@ TEST_F(MembershipTest, ReminderSurvivesAutomaticEviction) {
   SiloId victim = HostOf("c0");
   ActorId id{MbrCounter::kTypeName, "c0"};
   ASSERT_TRUE(harness_.cluster()
-                  .RegisterReminder(id, "tick", 300 * kMicrosPerMilli)
+                  .reminders()
+                  .Register(id, "tick", 300 * kMicrosPerMilli)
                   .ok());
   harness_.RunFor(2 * kMicrosPerSecond);
   auto before = Settle(refs[0].Call(&MbrCounter::ReminderFires));

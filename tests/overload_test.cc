@@ -1,10 +1,12 @@
 // Overload-management tests: bounded mailboxes returning Overloaded on both
 // dispatch lanes (same-silo closure lane and the cross-silo wire lane),
-// per-type depth overrides, RetryAsync backpressure (back off and re-send
+// RetryAsync backpressure (back off and re-send
 // to the SAME placement — no failover), the silo load shedder's priority
 // ordering (telemetry first, queries past the hard watermark, control
 // never), live hot-actor migration (state and reminders survive the
-// deactivate -> directory-move -> reactivate cycle), and the regression
+// deactivate -> directory-move -> reactivate cycle), the hot-actor
+// controller's decisions (which actor moves where, the load-gap threshold,
+// and both cooldowns), and the regression
 // for the idle-sweep vs migration race: both initiators must observe the
 // activation state machine, so whichever loses simply declines.
 
@@ -211,33 +213,6 @@ TEST(OverloadTest, MailboxFullOverloadedOnClosureLane) {
   auto v = tc.cluster.Ref<OvCounter>("c0").Call(&OvCounter::Value);
   ASSERT_TRUE(RunUntilReady(tc.harness, v, 5 * kMicrosPerSecond));
   EXPECT_EQ(v.Get().value(), 6 - overloaded);
-}
-
-/// SetTypeMailboxDepth overrides the (here unlimited) cluster default for
-/// one actor type; activations created afterwards enforce it.
-TEST(OverloadTest, PerTypeMailboxDepthOverride) {
-  RuntimeOptions options = BaseOptions(1);
-  ASSERT_EQ(options.overload.max_mailbox_depth, 0);  // Unbounded default.
-  TestCluster tc(options);
-  tc.cluster.SetTypeMailboxDepth(OvCounter::kTypeName, 2);
-
-  CallOptions slow;
-  slow.cost_us = 100 * kMicrosPerMilli;
-  std::vector<Future<int64_t>> acks;
-  for (int i = 0; i < 6; ++i) {
-    acks.push_back(tc.cluster.Ref<OvCounter>("t0").CallWith(
-        slow, &OvCounter::Add, int64_t{1}));
-  }
-  tc.harness.RunFor(2 * kMicrosPerSecond);
-  int64_t overloaded = 0;
-  for (auto& f : acks) {
-    ASSERT_TRUE(f.Ready());
-    if (!f.Get().ok()) {
-      EXPECT_TRUE(f.Get().status().IsOverloaded());
-      ++overloaded;
-    }
-  }
-  EXPECT_GE(overloaded, 1);
 }
 
 // --- Backpressure ------------------------------------------------------------
@@ -483,6 +458,164 @@ TEST(OverloadTest, MigrationReroutesQueuedMailWithoutLoss) {
   auto v = tc.cluster.Ref<OvCounter>("q0").Call(&OvCounter::Value);
   ASSERT_TRUE(RunUntilReady(tc.harness, v, 5 * kMicrosPerSecond));
   EXPECT_EQ(v.Get().value(), acked);  // Nothing lost, nothing doubled.
+}
+
+// --- Hot-actor controller -----------------------------------------------------
+
+/// Two silos under the simulator; the tests call the controller's scan
+/// directly instead of starting its loop, so each decision is taken at a
+/// known queue state. Adds cost 100 ms each on one worker per silo, so a
+/// flood stays queued for many scans.
+struct ControllerCluster : TestCluster {
+  explicit ControllerCluster(const RuntimeOptions& options)
+      : TestCluster(options) {}
+
+  static RuntimeOptions Options() {
+    RuntimeOptions o = BaseOptions(2);
+    o.overload.hot_actor_min_depth = 16;
+    o.overload.min_load_delta = 4;
+    o.overload.migration_cooldown_us = kMicrosPerSecond;
+    return o;
+  }
+
+  /// A counter key the directory places on `silo`, activated and idle (a
+  /// loading activation is never a migration candidate).
+  std::string WarmOn(SiloId silo, const std::string& prefix) {
+    for (int i = 0;; ++i) {
+      std::string key = prefix + std::to_string(i);
+      ActorId id{OvCounter::kTypeName, key};
+      SiloId placed = cluster.directory().LookupOrPlace(id, kClientSiloId);
+      if (placed != silo) {
+        cluster.directory().Remove(id, placed);
+        continue;
+      }
+      auto f = cluster.Ref<OvCounter>(key).Call(&OvCounter::Add, int64_t{1});
+      EXPECT_TRUE(RunUntilReady(harness, f, 5 * kMicrosPerSecond));
+      return key;
+    }
+  }
+
+  /// Queues `n` slow adds for `key` and lets them land.
+  void Flood(const std::string& key, int n) {
+    CallOptions slow;
+    slow.cost_us = 100 * kMicrosPerMilli;
+    for (int i = 0; i < n; ++i) {
+      pending.push_back(cluster.Ref<OvCounter>(key).CallWith(
+          slow, &OvCounter::Add, int64_t{1}));
+    }
+    harness.RunFor(5 * kMicrosPerMilli);
+  }
+
+  /// `scans` controller scans, 1 ms apart.
+  void Scan(int scans = 1) {
+    for (int i = 0; i < scans; ++i) {
+      cluster.overload_controller().Rebalance();
+      harness.RunFor(kMicrosPerMilli);
+    }
+  }
+
+  SiloId HostOf(const std::string& key) {
+    return cluster.directory().Lookup({OvCounter::kTypeName, key}).value();
+  }
+
+  std::vector<Future<int64_t>> pending;
+};
+
+/// The controller moves the deepest activation of the most loaded silo to
+/// the least loaded one, and only an activation with at least
+/// hot_actor_min_depth messages queued.
+TEST(OverloadTest, ControllerMovesDeepestActivationToLeastLoadedSilo) {
+  ControllerCluster tc(ControllerCluster::Options());
+  const std::string shallow = tc.WarmOn(0, "shallow");
+  const std::string deep = tc.WarmOn(0, "deep");
+
+  tc.Flood(shallow, 12);  // 11 queued behind the running turn: too shallow.
+  tc.Scan(3);
+  ASSERT_GE(tc.cluster.silo(0)->QueuedEnvelopes(), 8);
+  EXPECT_EQ(tc.cluster.silo(1)->QueuedEnvelopes(), 0);
+  tc.harness.RunFor(500 * kMicrosPerMilli);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 0);
+
+  tc.Flood(deep, 20);
+  tc.Scan();
+  tc.harness.RunFor(500 * kMicrosPerMilli);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 1);
+  EXPECT_EQ(tc.HostOf(deep), 1);
+  EXPECT_EQ(tc.HostOf(shallow), 0);
+}
+
+/// A load gap below min_load_delta moves nothing, however deep the actor
+/// and however many scans run.
+TEST(OverloadTest, ControllerIgnoresLoadGapBelowMinLoadDelta) {
+  RuntimeOptions options = ControllerCluster::Options();
+  options.overload.min_load_delta = 64;
+  ControllerCluster tc(options);
+  const std::string deep = tc.WarmOn(0, "deep");
+
+  tc.Flood(deep, 40);
+  ASSERT_GE(tc.cluster.silo(0)->QueuedEnvelopes(), 39);
+  tc.Scan(20);
+  tc.harness.RunFor(500 * kMicrosPerMilli);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 0);
+  EXPECT_EQ(tc.HostOf(deep), 0);
+}
+
+/// Within migration_cooldown_us the moved actor is not picked again, even
+/// as the deepest activation of the most loaded silo; after it, it is.
+TEST(OverloadTest, ControllerCooldownKeepsMovedActorInPlace) {
+  ControllerCluster tc(ControllerCluster::Options());
+  const std::string hot = tc.WarmOn(0, "hot");
+
+  tc.Flood(hot, 40);
+  tc.Scan();
+  const Micros moved_at = tc.harness.Now();
+  tc.harness.RunFor(300 * kMicrosPerMilli);
+  ASSERT_EQ(tc.HostOf(hot), 1);
+  ASSERT_EQ(tc.Metric("overload.migrations"), 1);
+
+  // Its rerouted mail makes silo 1 the most loaded, silo 0 is idle.
+  tc.Scan(10);
+  ASSERT_GE(tc.cluster.silo(1)->QueuedEnvelopes(), 16);
+  EXPECT_EQ(tc.cluster.silo(0)->QueuedEnvelopes(), 0);
+  tc.harness.RunFor(200 * kMicrosPerMilli);
+  EXPECT_EQ(tc.HostOf(hot), 1);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 1);
+
+  tc.harness.RunUntil(moved_at + kMicrosPerSecond);
+  ASSERT_GE(tc.cluster.silo(1)->QueuedEnvelopes(), 16);
+  tc.Scan();
+  tc.harness.RunFor(300 * kMicrosPerMilli);
+  EXPECT_EQ(tc.HostOf(hot), 0);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 2);
+}
+
+/// Within migration_cooldown_us the silo that just received a migration is
+/// not a destination again, however far the other silo's load runs ahead;
+/// after it, it is.
+TEST(OverloadTest, ControllerCooldownSparesRecentDestination) {
+  ControllerCluster tc(ControllerCluster::Options());
+  const std::string first = tc.WarmOn(0, "first");
+  const std::string second = tc.WarmOn(0, "second");
+
+  tc.Flood(first, 20);
+  tc.Scan();
+  const Micros moved_at = tc.harness.Now();
+  tc.harness.RunFor(300 * kMicrosPerMilli);
+  ASSERT_EQ(tc.HostOf(first), 1);
+
+  tc.Flood(second, 60);
+  tc.Scan(10);
+  ASSERT_GE(tc.cluster.silo(0)->QueuedEnvelopes(),
+            tc.cluster.silo(1)->QueuedEnvelopes() + 32);
+  tc.harness.RunFor(200 * kMicrosPerMilli);
+  EXPECT_EQ(tc.HostOf(second), 0);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 1);
+
+  tc.harness.RunUntil(moved_at + kMicrosPerSecond);
+  tc.Scan();
+  tc.harness.RunFor(300 * kMicrosPerMilli);
+  EXPECT_EQ(tc.HostOf(second), 1);
+  EXPECT_EQ(tc.Metric("overload.migrations"), 2);
 }
 
 /// Regression: the idle sweeper and the migration controller both want to

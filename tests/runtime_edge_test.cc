@@ -100,9 +100,9 @@ TEST(RuntimeRestartTest, StateAndRemindersSurviveClusterRestart) {
     c.Tell(&DurableCounter::Add, int64_t{41});
     gen1.RunFor(5 * kMicrosPerSecond);
     ASSERT_TRUE(gen1.cluster()
-                    .RegisterReminder(
-                        ActorId{DurableCounter::kTypeName, "persist-me"},
-                        "tick", kMicrosPerSecond)
+                    .reminders()
+                    .Register(ActorId{DurableCounter::kTypeName, "persist-me"},
+                              "tick", kMicrosPerSecond)
                     .ok());
     auto flushed = gen1.cluster().DeactivateAll();
     gen1.RunFor(5 * kMicrosPerSecond);
@@ -112,8 +112,8 @@ TEST(RuntimeRestartTest, StateAndRemindersSurviveClusterRestart) {
   SimHarness gen2(o, &system_kv);
   gen2.cluster().RegisterActorType<DurableCounter>();
   gen2.cluster().RegisterStateStorage("default", storage);
-  ASSERT_TRUE(gen2.cluster().LoadReminders().ok());
-  EXPECT_EQ(gen2.cluster().ActiveReminders(), 1u)
+  ASSERT_TRUE(gen2.cluster().reminders().Load().ok());
+  EXPECT_EQ(gen2.cluster().reminders().Active(), 1u)
       << "reminders restore from the system store";
   auto c = gen2.cluster().Ref<DurableCounter>("persist-me");
   auto v = c.Call(&DurableCounter::Value);
@@ -203,10 +203,11 @@ TEST(RuntimeReminderTest, UnregisterStopsFiring) {
       "edge.Armed", [](const ActorId&) { return std::make_unique<Armed>(); });
   ActorId id{"edge.Armed", "a"};
   ASSERT_TRUE(harness.cluster()
-                  .RegisterReminder(id, "r", 200 * kMicrosPerMilli)
+                  .reminders()
+                  .Register(id, "r", 200 * kMicrosPerMilli)
                   .ok());
   harness.RunFor(kMicrosPerSecond + 50 * kMicrosPerMilli);
-  ASSERT_TRUE(harness.cluster().UnregisterReminder(id, "r").ok());
+  ASSERT_TRUE(harness.cluster().reminders().Unregister(id, "r").ok());
   auto before =
       harness.cluster().RefAs<Armed>("edge.Armed", "a").Call(&Armed::Count);
   harness.RunFor(kMicrosPerSecond);
@@ -218,7 +219,7 @@ TEST(RuntimeReminderTest, UnregisterStopsFiring) {
   harness.RunFor(kMicrosPerSecond);
   EXPECT_EQ(after.Get().value(), count_at_unregister)
       << "no reminder tick may fire after unregistration";
-  EXPECT_EQ(harness.cluster().ActiveReminders(), 0u);
+  EXPECT_EQ(harness.cluster().reminders().Active(), 0u);
   auto listed = system_kv.List("rem/");
   EXPECT_TRUE(listed.value().empty()) << "durable record removed";
 }
@@ -250,9 +251,9 @@ TEST(RuntimeReminderTest, TicksReachTheSiloAsWireTells) {
   EXPECT_TRUE(cluster.CheckWireRegistry().ok());
 
   const int64_t before = cluster.SnapshotMetrics().counters.at("wire.requests");
-  ASSERT_TRUE(
-      cluster.RegisterReminder({"edge.Ticked", "t"}, "r", 200 * kMicrosPerMilli)
-          .ok());
+  ASSERT_TRUE(cluster.reminders()
+                  .Register({"edge.Ticked", "t"}, "r", 200 * kMicrosPerMilli)
+                  .ok());
   harness.RunFor(kMicrosPerSecond + 50 * kMicrosPerMilli);
   const int64_t ticks =
       cluster.SnapshotMetrics().counters.at("wire.requests") - before;

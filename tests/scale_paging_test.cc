@@ -369,8 +369,8 @@ TEST(ScalePaging, PagedEntryPurgedWithDeadSilo) {
 /// accepted adds all land, rejected ones are cleanly Overloaded.
 TEST(ScalePaging, OverloadedComposesWithPaging) {
   RuntimeOptions options = BaseOptions(1, /*max_resident=*/1);
+  options.overload.max_mailbox_depth = 2;
   TestCluster tc(options);
-  tc.cluster.SetTypeMailboxDepth(PgCounter::kTypeName, 2);
 
   CallOptions slow;
   slow.cost_us = 100 * kMicrosPerMilli;

@@ -2,9 +2,12 @@
 // turns: task completion and shutdown drain, timer deadline ordering,
 // per-actor turn serialization, same-sender FIFO, and batch fairness; and of
 // the network links that run cross-node deliveries on the receiver's
-// workers: arrival order, and no detour through the timer thread.
-// These are the properties that stealing and batching are NOT allowed to
-// break; the suite runs under ASan and TSan in tier-1 (see scripts/tier1.sh).
+// workers: arrival order, and no detour through the timer thread; and of
+// the periodic loops behind timers, reminders and the idle scanner: exact
+// tick times, and no tick after a cancel, including a cancel that races a
+// tick on a real pool. These are the properties that stealing and batching
+// are NOT allowed to break; the suite runs under ASan and TSan in tier-1
+// (see scripts/tier1.sh).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +23,11 @@
 #include "actor/actor_ref.h"
 #include "actor/link.h"
 #include "actor/method_registry.h"
+#include "actor/periodic_task.h"
 #include "actor/runtime.h"
 #include "actor/thread_pool.h"
+#include "sim/sim_executor.h"
+#include "sim/sim_scheduler.h"
 #include "wire_methods.h"
 
 namespace aodb {
@@ -485,6 +491,152 @@ TEST(Scheduling, CrossSiloStreamsStayFifoWithModelledLatency) {
   // Arrivals in the future arm the timer, and jitter would reorder a link
   // but for the per-link FIFO stamp: the same order must hold.
   RunCrossSiloStreams(/*latency_us=*/300, /*jitter_us=*/200);
+}
+
+// --- Periodic loops ------------------------------------------------------------
+
+constexpr Micros kPeriod = 7 * kMicrosPerMilli;
+
+TEST(PeriodicTask, TicksAtMultiplesOfThePeriodAndNeverAfterCancel) {
+  SimScheduler sched;
+  SimExecutor exec(&sched, 1);
+  std::vector<Micros> ticks;
+  PeriodicTask task;
+  task.Start(&exec, kPeriod, [&] { ticks.push_back(sched.Now()); });
+  sched.RunUntil(10 * kPeriod);
+  ASSERT_EQ(ticks.size(), 10u);
+  for (size_t k = 0; k < ticks.size(); ++k) {
+    EXPECT_EQ(ticks[k], static_cast<Micros>(k + 1) * kPeriod);
+  }
+  task.Cancel();
+  sched.RunUntil(20 * kPeriod);
+  EXPECT_EQ(ticks.size(), 10u);
+  EXPECT_TRUE(sched.empty()) << "a cancelled loop armed another tick";
+
+  // Restarting a handle replaces its loop; destroying it cancels.
+  {
+    PeriodicTask scoped;
+    scoped.Start(&exec, kPeriod, [&] { ticks.push_back(-1); });
+    scoped.Start(&exec, kPeriod, [&] { ticks.push_back(sched.Now()); });
+    sched.RunUntil(22 * kPeriod);
+  }
+  sched.RunUntil(30 * kPeriod);
+  EXPECT_EQ(ticks, (std::vector<Micros>{kPeriod, 2 * kPeriod, 3 * kPeriod,
+                                        4 * kPeriod, 5 * kPeriod, 6 * kPeriod,
+                                        7 * kPeriod, 8 * kPeriod, 9 * kPeriod,
+                                        10 * kPeriod, 21 * kPeriod,
+                                        22 * kPeriod}));
+  EXPECT_TRUE(sched.empty());
+}
+
+TEST(PeriodicTask, CancelInsideTheBodyStopsTheNextTick) {
+  SimScheduler sched;
+  SimExecutor exec(&sched, 1);
+  int ticks = 0;
+  PeriodicTask task;
+  task.Start(&exec, kPeriod, [&] {
+    if (++ticks == 3) task.Cancel();
+  });
+  sched.RunUntil(100 * kPeriod);
+  EXPECT_EQ(ticks, 3);
+  EXPECT_TRUE(sched.empty());
+}
+
+/// Arms a 1 ms timer and cancels it from inside its third OnTimer turn, on
+/// a worker, while the timer thread keeps ticking.
+class SelfCancellingTicker : public ActorBase {
+ public:
+  static constexpr char kTypeName[] = "sched.SelfCancellingTicker";
+
+  int64_t Arm() {
+    ctx().SetTimer("t", kMicrosPerMilli, /*tick_cost_us=*/0);
+    return 0;
+  }
+  void OnTimer(const std::string& name) override {
+    if (++ticks_ == 3) ctx().CancelTimer(name);
+  }
+  int64_t Ticks() { return ticks_; }
+
+ private:
+  int64_t ticks_ = 0;
+};
+
+class ReminderCounter : public ActorBase {
+ public:
+  static constexpr char kTypeName[] = "sched.ReminderCounter";
+
+  void ReceiveReminder(const std::string&) override { ++fires_; }
+  int64_t Fires() { return fires_; }
+
+ private:
+  int64_t fires_ = 0;
+};
+
+/// Ticks already on their way when a loop was cancelled may still land;
+/// once they have, `count` must stay put.
+template <typename Count>
+void ExpectNoTicksAfterCancel(Count count) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int64_t settled = count();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(count(), settled) << "a cancelled loop kept ticking";
+}
+
+RuntimeOptions OneSiloRealOptions() {
+  RuntimeOptions options;
+  options.num_silos = 1;
+  options.workers_per_silo = 2;
+  options.network.client_latency_us = 0;
+  options.network.jitter_us = 0;
+  return options;
+}
+
+TEST(PeriodicTask, ActorCancelsItsOwnTimerInsideATurn) {
+  RegisterWire<SelfCancellingTicker>(&SelfCancellingTicker::Arm, "Arm",
+                                     &SelfCancellingTicker::Ticks, "Ticks");
+  RealClusterHandle handle(OneSiloRealOptions());
+  handle->RegisterActorType<SelfCancellingTicker>();
+  auto ref = handle->Ref<SelfCancellingTicker>("t");
+  ASSERT_TRUE(ref.Call(&SelfCancellingTicker::Arm).Get().ok());
+  auto ticks = [&ref] {
+    return ref.Call(&SelfCancellingTicker::Ticks).Get().value();
+  };
+  ASSERT_TRUE(WaitFor([&] { return ticks() >= 3; }));
+  ExpectNoTicksAfterCancel(ticks);
+}
+
+TEST(PeriodicTask, UnregisterReminderWhileItTicks) {
+  RegisterWire<ReminderCounter>(&ReminderCounter::Fires, "Fires");
+  RealClusterHandle handle(OneSiloRealOptions());
+  handle->RegisterActorType<ReminderCounter>();
+  const ActorId id{ReminderCounter::kTypeName, "r"};
+  ASSERT_TRUE(handle->reminders().Register(id, "r", kMicrosPerMilli).ok());
+  auto ref = handle->Ref<ReminderCounter>("r");
+  auto fires = [&ref] {
+    return ref.Call(&ReminderCounter::Fires).Get().value();
+  };
+  ASSERT_TRUE(WaitFor([&] { return fires() >= 5; }));
+  ASSERT_TRUE(handle->reminders().Unregister(id, "r").ok());
+  ExpectNoTicksAfterCancel(fires);
+}
+
+TEST(PeriodicTask, StopWhileTheIdleScannerTicks) {
+  RuntimeOptions options = OneSiloRealOptions();
+  options.lifecycle.enable_idle_deactivation = true;
+  options.lifecycle.scan_interval_us = kMicrosPerMilli;
+  // The actor stays fresh, so each sweep examines exactly one entry.
+  options.lifecycle.idle_timeout_us = 60 * kMicrosPerSecond;
+  RegisterCountWire();
+  RealClusterHandle handle(options);
+  handle->RegisterActorType<CountActor>();
+  ASSERT_TRUE(
+      handle->Ref<CountActor>("c").Call(&CountActor::Add, int64_t{1}).Get().ok());
+  handle->StartIdleScanner();
+  Silo* silo = handle->silo(0);
+  auto sweeps = [silo] { return silo->Stats().sweep_examined; };
+  ASSERT_TRUE(WaitFor([&] { return sweeps() >= 5; }));
+  handle->Stop();
+  ExpectNoTicksAfterCancel(sweeps);
 }
 
 }  // namespace
